@@ -41,7 +41,7 @@ def jhat(l: int, x) -> np.ndarray:
         x2 = x * x
         series = x2 / 3.0 * (1.0 - x2 / 10.0 * (1.0 - x2 / 28.0))
         return np.where(small, series, direct)
-    return _recur(l, x, jhat(0, x), jhat(1, x))
+    return _recur_pair(l, x, jhat(0, x), jhat(1, x))[1]
 
 
 def yhat(l: int, x) -> np.ndarray:
@@ -51,7 +51,7 @@ def yhat(l: int, x) -> np.ndarray:
         return -np.cos(x)
     if l == 1:
         return -np.cos(x) / x - np.sin(x)
-    return _recur(l, x, yhat(0, x), yhat(1, x))
+    return _recur_pair(l, x, yhat(0, x), yhat(1, x))[1]
 
 
 def hhat_plus(l: int, x) -> np.ndarray:
@@ -61,13 +61,7 @@ def hhat_plus(l: int, x) -> np.ndarray:
         return -1j * np.exp(1j * x)
     if l == 1:
         return -np.exp(1j * x) * (1.0 + 1j / x)
-    return _recur(l, x, hhat_plus(0, x), hhat_plus(1, x))
-
-
-def _recur(l: int, x, z0, z1):
-    for m in range(1, l):
-        z0, z1 = z1, (2 * m + 1) / x * z1 - z0
-    return z1
+    return _recur_pair(l, x, hhat_plus(0, x), hhat_plus(1, x))[1]
 
 
 def _recur_pair(l: int, x, z0, z1):

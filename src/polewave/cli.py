@@ -12,11 +12,6 @@ Exit codes: 0 success, 2 no bound state in the search window, 3 a
 potential spec or option failed validation, 4 a computation failed
 numerically.
 
-The solvers are vectorized over momenta rather than threaded; the
-POLEWAVE_THREADS variable is exported to the BLAS layer before numpy
-loads so a cap there is honored too. Output assembly is a single
-ordered pass, so worker scheduling can never reorder rows.
-
 There is no plotting dependency. --plot-data writes the same rows as a
 whitespace-separated table with a comment header, which gnuplot and
 friends consume directly.
@@ -35,16 +30,6 @@ from dataclasses import dataclass, field
 __all__ = ["main"]
 
 _UNITS = "hbar=2m=1"
-
-
-def _export_thread_cap() -> None:
-    cap = os.environ.get("POLEWAVE_THREADS")
-    if not cap:
-        return
-    if not cap.isdigit() or int(cap) < 1:
-        raise _Usage(f"POLEWAVE_THREADS must be a positive integer, got {cap!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 class _Usage(Exception):
@@ -191,10 +176,6 @@ def _k_grid(cfg: RunConfig):
     return np.linspace(cfg.kmin, cfg.kmax, cfg.ksteps)
 
 
-def _comparison_window(alpha: float, r_max: float):
-    return 0.5, min(6.0 / alpha, r_max)
-
-
 # ---------------------------------------------------------------- subcommands
 
 
@@ -202,17 +183,17 @@ def cmd_phases(cfg: RunConfig) -> Table:
     import numpy as np
 
     from .potentials import make_grid
-    from .radial import jost_function, phase_shift_curve
+    from .radial import _jost_from_regular, solve_regular
 
     pot = _load_spec(cfg)
     grid = make_grid(pot, h=cfg.h, r_max=cfg.rmax)
     k = _k_grid(cfg)
+    phi = solve_regular(pot, cfg.ell, k, grid).values
+    f_up = _jost_from_regular(pot, cfg.ell, k, grid, phi)
+    f_dn = _jost_from_regular(pot, cfg.ell, -k, grid, phi)
+    delta = -np.angle(f_up)
     if k.size >= 2:
-        delta = phase_shift_curve(pot, cfg.ell, k, grid)
-    else:
-        delta = -np.angle(jost_function(pot, cfg.ell, k, grid))
-    f_up = jost_function(pot, cfg.ell, k, grid)
-    f_dn = jost_function(pot, cfg.ell, -k, grid)
+        delta = np.unwrap(delta)
     s_dev = np.abs(f_dn / f_up) - 1.0
     rows = [[float(kk), float(dd), float(ss)] for kk, dd, ss in zip(k, delta, s_dev)]
     verdict = [
@@ -347,9 +328,9 @@ def cmd_gw_compare(cfg: RunConfig) -> Table:
     import numpy as np
 
     from .errors import NoBoundStateError, SpecError
-    from .poletheorem import gw_extrapolant, pole_branch_sign
+    from .poletheorem import _imaginary_axis_data, gw_extrapolant, pole_branch_sign
     from .potentials import make_grid
-    from .radial import jost_function, jost_on_imaginary_axis, solve_regular
+    from .radial import _jost_from_regular, solve_regular
     from .spectrum import find_bound_states
 
     if cfg.ell != 0:
@@ -378,9 +359,7 @@ def cmd_gw_compare(cfg: RunConfig) -> Table:
         frac = 4.0 ** -np.arange(1, cfg.sample_count + 1)
         kappa = alpha * np.sqrt(1.0 - frac)
         dist = alpha**2 * frac
-        f_up = jost_on_imaginary_axis(pot, 0, kappa, grid)
-        f_dn = jost_on_imaginary_axis(pot, 0, -kappa, grid)
-        phi = solve_regular(pot, 0, 1j * kappa, grid).values.real
+        phi, f_up, f_dn = _imaginary_axis_data(pot, 0, kappa, grid)
         ours = s * math.sqrt(2.0 * alpha) * np.sqrt(dist) * phi / np.sqrt(f_up * f_dn)
         gw = gw_extrapolant(pot, alpha, 1j * kappa, grid)
         rows = []
@@ -403,8 +382,9 @@ def cmd_gw_compare(cfg: RunConfig) -> Table:
     # real mode (the default here): both forms against -u at scattering
     # energies; the interesting regime is k at or below the pole scale
     k = _k_grid(cfg)
-    f = jost_function(pot, 0, k, grid)
-    phi = solve_regular(pot, 0, k, grid).values.real
+    phi = solve_regular(pot, 0, k, grid).values
+    f = _jost_from_regular(pot, 0, k, grid, phi)
+    phi = phi.real
     ours = (
         s
         * math.sqrt(2.0 * alpha)
@@ -646,12 +626,6 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    try:
-        _export_thread_cap()
-    except _Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -12,7 +12,11 @@ derivative at the origin, S_minus = f(-k, 0)/f(k, 0) from the vanishing
 value. The odd channel is the three-dimensional s-wave problem in
 disguise; the even channel is genuinely one-dimensional, with the
 threshold anomaly delta_plus(0) = pi/2 for any potential that does not
-hold a zero-energy even state.
+hold a zero-energy even state. Its outward solution, y(0) = 1 and
+y'(0) = 0, is still the radial regular solution, taken at l = -1:
+r^{l+1} = 1, (-1)!! = 1 and the centrifugal term vanishes. So both
+channels are swept by the radial code, and both bound-state searches
+use the radial root finder.
 
 The pole relation here reads
 
@@ -51,11 +55,13 @@ from .poletheorem import (
     PoleComparison,
     PoleExtrapolation,
     ResidueEstimate,
-    _richardson,
+    _branch_sign,
+    _comparison_nodes,
+    _ladder_residue,
     extrapolate_to_pole,
 )
-from .radial import _domains, _sided_w, _w_block, solve_jost_reduced, solve_regular
-from .spectrum import decay_tail_integral
+from .radial import _sweep_regular, solve_jost_reduced, solve_regular
+from .spectrum import _bisect, _scan_roots, decay_tail_integral
 
 _PARITIES = ("even", "odd")
 
@@ -92,45 +98,12 @@ def _check_parity(parity: str) -> str:
     return parity
 
 
-def _even_sweep(potential: Potential, k, grid: Grid) -> np.ndarray:
-    """Outward solution with y(0) = 1, y'(0) = 0, batched over momenta.
-
-    Mirrors the regular-solution sweep of the radial module with the
-    even seed series y = 1 + w0 x^2/2 + w'(0) x^3/6 + (w'' + w0^2) x^4/24,
-    w = U - k^2.
-    """
-    k = np.atleast_1d(np.asarray(k, dtype=complex))
-    k2 = k * k
-    h, x = grid.h, grid.r()
-    u0, u1, u2 = potential.taylor_at_zero()
-    w0 = u0 - k2
-    a2 = w0 / 2.0
-    a3 = u1 / 6.0
-    a4 = (u2 + w0 * w0) / 24.0
-    vals = np.empty((grid.n + 1, k.size), dtype=complex)
-    first = True
-    for i0, i1, fn in _domains(potential, grid):
-        w = _w_block(fn, x[i0 : i1 + 1], 0, k2)
-        if first:
-            vals[0] = 1.0
-            vals[1] = 1.0 + a2 * x[1] ** 2 + a3 * x[1] ** 3 + a4 * x[1] ** 4
-            vals[0 : i1 + 1] = ig.numerov(vals[0], vals[1], w, h)
-            first = False
-        else:
-            du = ig.deriv_backward(vals, i0, h)
-            s0, s1, s2 = _sided_w(potential, 0, x[i0], +1, k2)
-            vals[i0 + 1] = ig.taylor_step(vals[i0], du, h, s0, s1, s2)
-            vals[i0 : i1 + 1] = ig.numerov(vals[i0], vals[i0 + 1], w, h)
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError("even-parity sweep overflowed; check grid and momenta")
-    return vals
-
-
 def _parity_sweep(p: Potential1D, parity: str, k, grid: Grid) -> np.ndarray:
     """Raw outward solution of the given parity, seed normalization
-    y(0) = 1 (even) or y'(0) = 1 (odd)."""
+    y(0) = 1 (even) or y'(0) = 1 (odd): the regular solution at
+    l = -1 or l = 0."""
     if parity == "even":
-        return _even_sweep(p.half, k, grid)
+        return _sweep_regular(p.half, -1, k, grid)
     return solve_regular(p.half, 0, k, grid).values
 
 
@@ -244,51 +217,23 @@ def find_bound_1d(
     parity: str,
     grid: Grid | None = None,
     *,
-    alpha_window: tuple[float, float] | None = None,
     h: float = 1.0 / 256.0,
     r_max: float | None = None,
-    n_scan: int = 200,
 ) -> list[BoundState1D]:
     """All bound states of one parity, deepest first.
 
     Scans the parity condition along the imaginary axis and bisects
-    each sign change, exactly as the radial bound-state search does for
-    the Jost function.
+    each sign change, with the root finder of the radial bound-state
+    search.
     """
     _check_parity(parity)
     if grid is None:
         grid = make_grid(p.half, h=h, r_max=r_max)
-    if alpha_window is None:
-        umin = float(np.min(p.half(grid.r())))
-        if umin >= 0.0:
-            return []
-        alpha_window = (min(1e-4, 1e-3 * math.sqrt(-umin)), math.sqrt(-umin))
-    lo, hi = alpha_window
-    if not (0 < lo < hi):
-        raise SpecError("alpha window must satisfy 0 < lo < hi")
-    ks = np.linspace(lo, hi, n_scan)
-    fv = _parity_condition(p, parity, ks, grid)
-    left, right, fleft = [], [], []
-    for i in range(n_scan - 1):
-        if fv[i] == 0.0:
-            left.append(ks[i]); right.append(ks[i]); fleft.append(0.0)
-        elif fv[i] * fv[i + 1] < 0.0:
-            left.append(ks[i]); right.append(ks[i + 1]); fleft.append(fv[i])
-    if not left:
-        return []
-    lo_a, hi_a, flo = np.asarray(left), np.asarray(right), np.asarray(fleft)
-    live = lo_a < hi_a
-    for _ in range(44):
-        if not live.any():
-            break
-        mid = 0.5 * (lo_a + hi_a)
-        fm = np.zeros_like(mid)
-        fm[live] = _parity_condition(p, parity, mid[live], grid)
-        same = np.sign(fm) == np.sign(flo)
-        lo_a = np.where(live & same, mid, lo_a)
-        flo = np.where(live & same, fm, flo)
-        hi_a = np.where(live & ~same, mid, hi_a)
-    roots = sorted((float(v) for v in 0.5 * (lo_a + hi_a)), reverse=True)
+
+    def condition(kappa):
+        return _parity_condition(p, parity, kappa, grid)
+
+    roots = _scan_roots(p.half, grid, condition)
     return [build_bound_1d(p, parity, a, grid) for a in roots]
 
 
@@ -330,16 +275,7 @@ def parity_branch_sign(p: Potential1D, parity: str, alpha: float, grid: Grid) ->
     the branch on which the channel's pole residue strength is positive
     definite."""
     _check_parity(parity)
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise SpecError("alpha must be positive")
-    for back in (1e-3, 4e-3):
-        value = float(_parity_condition(p, parity, alpha * (1.0 - back), grid)[0])
-        if value != 0.0:
-            return math.copysign(1.0, value)
-    raise NumericalError(
-        "parity condition vanishes at both probe points below the pole; "
-        "alpha is probably not converged"
-    )
+    return _branch_sign(lambda kappa: _parity_condition(p, parity, kappa, grid), alpha)
 
 
 def extrapolant_samples_1d(
@@ -419,19 +355,7 @@ def compare_to_bound_1d(
     states where the opposite-momentum Jost value has crossed zero) the
     stored samples are magnitudes and the comparison drops the sign.
     """
-    g = extrapolation.samples.grid
-    if (g.h, g.n) != (state.grid.h, state.grid.n):
-        raise SpecError("extrapolation and bound state live on different grids")
-    if abs(extrapolation.samples.alpha - state.alpha) > 1e-9 * state.alpha:
-        raise SpecError("extrapolation targets a different pole than this bound state")
-    if x_lo is None:
-        x_lo = 0.5
-    if x_hi is None:
-        x_hi = 6.0 / state.alpha
-    x = g.r()
-    sel = (x >= x_lo) & (x <= min(x_hi, g.r_max))
-    if not sel.any():
-        raise SpecError("empty comparison window")
+    x, sel = _comparison_nodes(extrapolation, state, x_lo, x_hi)
     expected = state.unit_norm()[sel]
     gs = extrapolation.g_star[sel]
     peak = float(np.max(np.abs(state.unit_norm())))
@@ -482,8 +406,6 @@ def pole_residue_1d(
     parity: str,
     alpha: float,
     grid: Grid,
-    *,
-    n_points: int = 7,
 ) -> ResidueEstimate:
     """Residue of the parity S matrix at k = i alpha, by Richardson
     extrapolation of (k - i alpha) S(k) along the imaginary axis.
@@ -491,12 +413,9 @@ def pole_residue_1d(
     Needs the lower-half-plane Jost data, so a finite-range potential
     (the radial solver enforces the analyticity strip otherwise)."""
     _check_parity(parity)
-    j = np.arange(1, n_points + 1)
-    kappa = alpha * (1.0 - 0.5**j)
-    s_vals = smatrix_1d(p, parity, 1j * kappa, grid).real
-    rho = (kappa - alpha) * s_vals
-    limit, err = _richardson(rho)
-    value = 1j * limit
+    value, err = _ladder_residue(
+        alpha, lambda kappa: (kappa - alpha) * smatrix_1d(p, parity, 1j * kappa, grid).real
+    )
     return ResidueEstimate(value, math.sqrt(abs(value) / 2.0), "imaginary_axis", err)
 
 
@@ -529,21 +448,17 @@ def zero_energy_phase(p: Potential1D, grid: Grid | None = None) -> ZeroEnergyPha
         grid = make_grid(p.half)
     scale = p.length_scale()
     k_lo, k_hi = 1e-3 / scale, 0.1 / scale
-    c = _parity_condition(p, "even", np.array([k_lo, k_hi]), grid)
+
+    def even(kappa):
+        return _parity_condition(p, "even", kappa, grid)
+
+    c = even(np.array([k_lo, k_hi]))
     threshold = None
     # linear extrapolation of the even condition to kappa = 0: a state
     # at (or crossing) threshold makes it vanish there
     c_zero = c[0] - k_lo * (c[1] - c[0]) / (k_hi - k_lo)
     if c[0] * c[1] < 0.0:
-        lo, hi, flo = k_lo, k_hi, c[0]
-        for _ in range(44):
-            mid = 0.5 * (lo + hi)
-            fm = float(_parity_condition(p, "even", mid, grid)[0])
-            if fm != 0.0 and np.sign(fm) == np.sign(flo):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        threshold = 0.5 * (lo + hi)
+        threshold = float(_bisect(even, [k_lo], [k_hi], [c[0]])[0])
     elif abs(c_zero) < 1e-3 * max(abs(c[0]), abs(c[1])):
         threshold = 0.0
     ks = np.array([0.02, 0.04, 0.06]) / scale

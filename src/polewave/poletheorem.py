@@ -57,6 +57,7 @@ from .errors import ExtrapolationWarning, NumericalError, SpecError
 from .potentials import Grid, Potential
 from .radial import (
     PhysicalWave,
+    _jost_from_regular,
     jost_function,
     jost_on_imaginary_axis,
     solve_regular,
@@ -64,6 +65,12 @@ from .radial import (
 from .spectrum import BoundState
 
 _DISTANCE_FACTOR = 3.0
+#: points on the imaginary-axis ladder toward the pole
+_LADDER_POINTS = 7
+#: polynomial degree of the real-axis residue fit
+_FIT_DEGREE = 8
+#: step of the Jost derivative, relative to |k0|
+_REL_STEP = 0.01
 
 
 @dataclass
@@ -91,29 +98,51 @@ class ExtrapolantSamples:
     d_side: float = 1.0
 
 
+def _branch_sign(condition, alpha: float) -> float:
+    """Sign of a real bound-state condition on the imaginary axis just
+    below its simple zero at kappa = alpha.
+
+    The sign is constant between neighboring zeros, so probing at 0.1
+    percent below alpha reads it off without landing on either
+    neighbor; a second probe at 0.4 percent covers an exact zero.
+    """
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise SpecError("alpha must be positive")
+    for back in (1e-3, 4e-3):
+        value = float(condition(alpha * (1.0 - back))[0])
+        if value != 0.0:
+            return math.copysign(1.0, value)
+    raise NumericalError(
+        "the bound-state condition vanishes at both probe points below the "
+        "pole; alpha is probably not a converged bound-state position"
+    )
+
+
 def pole_branch_sign(
     potential: Potential, l: int, alpha: float, grid: Grid
 ) -> float:
     """The sign of F_l(i kappa) just below the pole at kappa = alpha.
 
     F is real on the imaginary axis and has a simple zero at each bound
-    state, so its sign is constant between neighboring poles; probing at
-    0.1 percent below alpha reads it off without landing on either
-    neighbor. Samples of g are multiplied by this sign so that their
-    continuation to t = -alpha^2 is -u_alpha regardless of how many
-    deeper states the well holds.
+    state, so its sign is constant between neighboring poles. Samples
+    of g are multiplied by this sign so that their continuation to
+    t = -alpha^2 is -u_alpha regardless of how many deeper states the
+    well holds.
     """
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise SpecError("alpha must be positive")
-    for back in (1e-3, 4e-3):
-        probe = jost_on_imaginary_axis(potential, l, alpha * (1.0 - back), grid)
-        value = float(probe[0])
-        if value != 0.0:
-            return math.copysign(1.0, value)
-    raise NumericalError(
-        "F vanishes at both probe points below the pole; alpha is "
-        "probably not a converged bound-state position"
+    return _branch_sign(
+        lambda kappa: jost_on_imaginary_axis(potential, l, kappa, grid), alpha
     )
+
+
+def _imaginary_axis_data(
+    potential: Potential, l: int, kappa: np.ndarray, grid: Grid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi(i kappa, r) and the real values F(i kappa), F(-i kappa), from
+    one regular sweep."""
+    phi = solve_regular(potential, l, 1j * kappa, grid).values
+    f_up = _jost_from_regular(potential, l, 1j * kappa, grid, phi).real
+    f_dn = _jost_from_regular(potential, l, 1j * -kappa, grid, phi).real
+    return phi.real, f_up, f_dn
 
 
 def extrapolant_samples(
@@ -132,9 +161,10 @@ def extrapolant_samples(
         raise SpecError("need at least 2 samples with positive spacing")
     t = spacing * alpha**2 * np.arange(1, n_samples + 1)
     k = np.sqrt(t)
-    f = jost_function(potential, l, k, grid)
+    phi = solve_regular(potential, l, k, grid).values
+    f = _jost_from_regular(potential, l, k, grid, phi)
     d = (f * np.conj(f)).real
-    phi = solve_regular(potential, l, k, grid).values.real
+    phi = phi.real
     s = pole_branch_sign(potential, l, alpha, grid)
     g = s * alpha**l * math.sqrt(2.0 * alpha) * np.sqrt(alpha**2 + t) * phi / np.sqrt(d)
     return ExtrapolantSamples(grid, l, alpha, t, g, d, "real", s)
@@ -175,8 +205,7 @@ def extrapolant_samples_near_pole(
     frac = 1.0 - spacing * np.arange(1, n_samples + 1)
     t = -(alpha**2) * frac
     kappa = alpha * np.sqrt(frac)
-    f_up = jost_on_imaginary_axis(potential, l, kappa, grid)
-    f_dn = jost_on_imaginary_axis(potential, l, -kappa, grid)
+    phi, f_up, f_dn = _imaginary_axis_data(potential, l, kappa, grid)
     d = f_up * f_dn
     if np.any(d == 0) or np.any(np.sign(d) != np.sign(d[0])):
         raise NumericalError(
@@ -184,7 +213,6 @@ def extrapolant_samples_near_pole(
             "pole or zero lies between these samples and the target"
         )
     side = math.copysign(1.0, d[0])
-    phi = solve_regular(potential, l, 1j * kappa, grid).values.real
     s = pole_branch_sign(potential, l, alpha, grid)
     g = (
         s
@@ -258,6 +286,26 @@ class PoleComparison:
     signed: bool
 
 
+def _comparison_nodes(extrapolation: PoleExtrapolation, state, lo, hi):
+    """Grid radii and the mask of the comparison window, default
+    [0.5, 6/alpha], after checking that extrapolation and state share
+    the grid and the pole. state is a radial or a line bound state."""
+    g = extrapolation.samples.grid
+    if (g.h, g.n) != (state.grid.h, state.grid.n):
+        raise SpecError("extrapolation and bound state live on different grids")
+    if abs(extrapolation.samples.alpha - state.alpha) > 1e-9 * state.alpha:
+        raise SpecError("extrapolation targets a different pole than this bound state")
+    if lo is None:
+        lo = 0.5
+    if hi is None:
+        hi = 6.0 / state.alpha
+    r = g.r()
+    sel = (r >= lo) & (r <= min(hi, g.r_max))
+    if not sel.any():
+        raise SpecError("empty comparison window")
+    return r, sel
+
+
 def compare_to_bound(
     extrapolation: PoleExtrapolation,
     state: BoundState,
@@ -271,19 +319,7 @@ def compare_to_bound(
     [0.5, 6/alpha] starts past the origin region (both functions are
     tiny there) and ends where the state has decayed by ~ e^{-6}.
     """
-    g = extrapolation.samples.grid
-    if (g.h, g.n) != (state.grid.h, state.grid.n):
-        raise SpecError("extrapolation and bound state live on different grids")
-    if abs(extrapolation.samples.alpha - state.alpha) > 1e-9 * state.alpha:
-        raise SpecError("extrapolation targets a different pole than this bound state")
-    if r_lo is None:
-        r_lo = 0.5
-    if r_hi is None:
-        r_hi = 6.0 / state.alpha
-    r = g.r()
-    sel = (r >= r_lo) & (r <= min(r_hi, g.r_max))
-    if not sel.any():
-        raise SpecError("empty comparison window")
+    r, sel = _comparison_nodes(extrapolation, state, r_lo, r_hi)
     u = state.u[sel]
     gs = extrapolation.g_star[sel]
     peak = float(np.max(np.abs(state.u)))
@@ -328,15 +364,21 @@ def _richardson(seq: np.ndarray, ratio: float = 2.0) -> tuple[float, float]:
     return best, abs(best - prev_best)
 
 
+def _ladder_residue(alpha: float, rho) -> tuple[complex, float]:
+    """Residue at k = i alpha and its error gauge, from rho(kappa) =
+    (kappa - alpha) S(i kappa) on the ladder kappa_j = alpha (1 - 2^-j),
+    Richardson-extrapolated to the pole."""
+    j = np.arange(1, _LADDER_POINTS + 1)
+    limit, err = _richardson(rho(alpha * (1.0 - 0.5**j)))
+    return 1j * limit, err
+
+
 def smatrix_residue(
     potential: Potential,
     l: int,
     alpha: float,
     grid: Grid,
     method: str = "imaginary_axis",
-    *,
-    n_points: int = 7,
-    fit_degree: int = 8,
 ) -> ResidueEstimate:
     """Residue of the S matrix at the bound-state pole k = i alpha.
 
@@ -354,15 +396,14 @@ def smatrix_residue(
                 "the imaginary-axis residue needs a finite-range potential; "
                 "use method='real_axis_fit' for decaying tails"
             )
-        j = np.arange(1, n_points + 1)
-        kappa = alpha * (1.0 - 0.5**j)
-        f_up = jost_on_imaginary_axis(potential, l, kappa, grid)
-        f_dn = jost_on_imaginary_axis(potential, l, -kappa, grid)
-        rho = (kappa - alpha) * f_dn / f_up
-        limit, err = _richardson(rho)
-        value = 1j * limit
+
+        def rho(kappa):
+            _, f_up, f_dn = _imaginary_axis_data(potential, l, kappa, grid)
+            return (kappa - alpha) * f_dn / f_up
+
+        value, err = _ladder_residue(alpha, rho)
     elif method == "real_axis_fit":
-        m = max(fit_degree + 4, 12)
+        m = max(_FIT_DEGREE + 4, 12)
         theta = (np.arange(m) + 0.5) * math.pi / m
         half = 0.95 * alpha
         center = 1.05 * alpha
@@ -371,7 +412,7 @@ def smatrix_residue(
         s = np.conj(f) / f
         hvals = (k - 1j * alpha) * s
         zeta = (k - center) / half
-        v = np.vander(zeta, fit_degree + 1, increasing=True)
+        v = np.vander(zeta, _FIT_DEGREE + 1, increasing=True)
         coef, res_, *_ = np.linalg.lstsq(v, hvals, rcond=None)
         zeta_star = (1j * alpha - center) / half
         value = complex(np.polynomial.polynomial.polyval(zeta_star, coef))
@@ -406,8 +447,6 @@ def jost_derivative(
     l: int,
     k0: complex,
     grid: Grid,
-    *,
-    rel_step: float = 0.01,
 ) -> JostDerivative:
     """dF_l/dk at k0 by five-point differencing along the axis k0 lies
     on, with step halving for an error estimate."""
@@ -415,7 +454,7 @@ def jost_derivative(
     if k0 == 0:
         raise SpecError("jost_derivative needs k0 != 0")
     direction = 1j if abs(k0.real) < 1e-12 * abs(k0) else 1.0
-    s = rel_step * abs(k0)
+    s = _REL_STEP * abs(k0)
     stencil = np.array([-2.0, -1.0, 1.0, 2.0])
     weights = np.array([1.0, -8.0, 8.0, -1.0])
 
@@ -450,20 +489,16 @@ def gw_extrapolant(
     alpha: float,
     k,
     grid: Grid,
-    *,
-    rel_step: float = 0.01,
 ) -> GwExtrapolant:
     k = np.atleast_1d(np.asarray(k, dtype=complex))
-    f = jost_function(potential, 0, k, grid)
-    fdot = np.array(
-        [jost_derivative(potential, 0, kk, grid, rel_step=rel_step).value for kk in k]
-    )
-    pref = np.sqrt(4j * alpha**2 * f / fdot)
     phi = solve_regular(potential, 0, k, grid).values
+    f = _jost_from_regular(potential, 0, k, grid, phi)
+    fdot = np.array([jost_derivative(potential, 0, kk, grid).value for kk in k])
+    pref = np.sqrt(4j * alpha**2 * f / fdot)
     # the wave normalization |F| continues off the real axis as
     # sqrt(F(k) F(-k)), which vanishes with F at the pole and keeps the
     # product finite; np.abs would not
-    d = f * jost_function(potential, 0, -k, grid)
+    d = f * _jost_from_regular(potential, 0, -k, grid, phi)
     # same e^{i delta} branch as the g samples, so both forms aim at
     # -u_alpha and their deviations can be compared head to head
     s = pole_branch_sign(potential, 0, alpha, grid)

@@ -125,6 +125,57 @@ class RadialSolution:
         return self.values[self.grid.index_of(radius)]
 
 
+def _origin_series(potential: Potential, l: int, k2):
+    """The regular solution near the origin as a function of r,
+
+        phi = r^{l+1}/(2l+1)!! (1 + c2 r^2 + c3 r^3 + c4 r^4),
+
+    for l >= -1. At l = -1 this is the even solution on the line,
+    y(0) = 1, y'(0) = 0: r^0 = 1, (-1)!! = 1 and the centrifugal term
+    vanishes.
+    """
+    u0, u1, u2 = potential.taylor_at_zero()
+    c2 = (u0 - k2) / (4 * l + 6)
+    c3 = u1 / (6 * l + 12)
+    c4 = (0.5 * u2 + (u0 - k2) * c2) / (8 * l + 20)
+    fac = double_factorial_odd(l)
+
+    def series(rr):
+        return rr ** (l + 1) / fac * (1.0 + c2 * rr**2 + c3 * rr**3 + c4 * rr**4)
+
+    return series
+
+
+def _sweep_regular(potential: Potential, l: int, k, grid: Grid) -> np.ndarray:
+    """Values of the regular solution for l >= -1, shape (nodes, nk).
+
+    The first two nodes come from the origin series, the origin itself
+    included at l = -1 where the solution does not vanish there.
+    """
+    k = _momenta(k)
+    k2 = k * k
+    _check_step(potential, l, k2, grid)
+    h, r = grid.h, grid.r()
+    seed = _origin_series(potential, l, k2)
+    s = 0 if l < 0 else 1
+    vals = np.empty((grid.n + 1, k.size), dtype=complex)
+    vals[0] = 0.0
+    for i0, i1, fn in _domains(potential, grid):
+        w = _w_block(fn, r[i0 : i1 + 1], l, k2)
+        if i0 == 0:
+            vals[s] = seed(r[s])
+            vals[s + 1] = seed(r[s + 1])
+            vals[s : i1 + 1] = ig.numerov(vals[s], vals[s + 1], w[s:], h)
+        else:
+            du = ig.deriv_backward(vals, i0, h)
+            w0, w1, w2 = _sided_w(potential, l, r[i0], +1, k2)
+            vals[i0 + 1] = ig.taylor_step(vals[i0], du, h, w0, w1, w2)
+            vals[i0 : i1 + 1] = ig.numerov(vals[i0], vals[i0 + 1], w, h)
+    if not np.all(np.isfinite(vals)):
+        raise NumericalError("regular solution overflowed; reduce r_max or check inputs")
+    return vals
+
+
 def solve_regular(potential: Potential, l: int, k, grid: Grid) -> RadialSolution:
     """Outward integration of the regular solution phi_l(k, r).
 
@@ -135,36 +186,7 @@ def solve_regular(potential: Potential, l: int, k, grid: Grid) -> RadialSolution
     if l < 0:
         raise SpecError("l must be a non-negative integer")
     k = _momenta(k)
-    k2 = k * k
-    _check_step(potential, l, k2, grid)
-    h, r = grid.h, grid.r()
-    u0, u1, u2 = potential.taylor_at_zero()
-    c2 = (u0 - k2) / (4 * l + 6)
-    c3 = u1 / (6 * l + 12)
-    c4 = (0.5 * u2 + (u0 - k2) * c2) / (8 * l + 20)
-    fac = double_factorial_odd(l)
-
-    def seed(rr: float) -> np.ndarray:
-        return rr ** (l + 1) / fac * (1.0 + c2 * rr**2 + c3 * rr**3 + c4 * rr**4)
-
-    vals = np.empty((grid.n + 1, k.size), dtype=complex)
-    vals[0] = 0.0
-    first = True
-    for i0, i1, fn in _domains(potential, grid):
-        w = _w_block(fn, r[i0 : i1 + 1], l, k2)
-        if first:
-            vals[1] = seed(r[1])
-            vals[2] = seed(r[2])
-            vals[1 : i1 + 1] = ig.numerov(vals[1], vals[2], w[1:], h)
-            first = False
-        else:
-            du = ig.deriv_backward(vals, i0, h)
-            w0, w1, w2 = _sided_w(potential, l, r[i0], +1, k2)
-            vals[i0 + 1] = ig.taylor_step(vals[i0], du, h, w0, w1, w2)
-            vals[i0 : i1 + 1] = ig.numerov(vals[i0], vals[i0 + 1], w, h)
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError("regular solution overflowed; reduce r_max or check inputs")
-    return RadialSolution(grid, l, k, vals, "regular")
+    return RadialSolution(grid, l, k, _sweep_regular(potential, l, k, grid), "regular")
 
 
 def _free_reduced(l: int, k: np.ndarray, r_sl: np.ndarray) -> np.ndarray:
@@ -314,10 +336,18 @@ def jost_function(
     if grid is None:
         grid = make_grid(potential, h=h, r_max=r_max)
     k = _momenta(k)
+    return _jost_from_regular(potential, l, k, grid, solve_regular(potential, l, k, grid).values)
+
+
+def _jost_from_regular(
+    potential: Potential, l: int, k, grid: Grid, phi: np.ndarray
+) -> np.ndarray:
+    """F_l(k) from regular-solution values phi already swept at momenta
+    with the same k^2, so phi swept at k serves F(-k) as well: phi
+    depends on k only through k^2, and (-k)^2 equals k^2 exactly."""
+    k = _momenta(k)
     ft = solve_jost_reduced(potential, l, k, grid)
-    ph = solve_regular(potential, l, k, grid)
-    i = _wronskian_node(potential, grid)
-    w = wronskian(ft.values, ph.values, i, grid.h)
+    w = wronskian(ft.values, phi, _wronskian_node(potential, grid), grid.h)
     return (-1j * k) ** l * w
 
 
@@ -401,7 +431,7 @@ def physical_wave(
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if np.any(k <= 0):
         raise SpecError("physical_wave is defined for real k > 0")
-    fvals = jost_function(potential, l, k, grid)
-    ph = solve_regular(potential, l, k, grid)
-    v = (k**l)[None, :] * ph.values.real / np.abs(fvals)[None, :]
+    phi = solve_regular(potential, l, k, grid).values
+    fvals = _jost_from_regular(potential, l, k, grid, phi)
+    v = (k**l)[None, :] * phi.real / np.abs(fvals)[None, :]
     return PhysicalWave(grid, l, k, v, fvals, -np.angle(fvals))

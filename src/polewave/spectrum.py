@@ -22,9 +22,10 @@ from scipy.integrate import quad, simpson
 from .analytic import free_decay
 from .errors import NoBoundStateError, NumericalError, SpecError
 from .potentials import Grid, Potential, make_grid
-from .radial import jost_on_imaginary_axis, solve_jost_reduced
+from .radial import _origin_series, jost_on_imaginary_axis, solve_jost_reduced
 
 _BISECT_ITERS = 44
+_N_SCAN = 200
 
 
 @dataclass
@@ -73,11 +74,30 @@ def decay_tail_integral(l: int, alpha: float, radius: float) -> float:
     return float(val)
 
 
-def _scan_alphas(
-    potential: Potential, l: int, grid: Grid, n_scan: int
-) -> list[float]:
-    rr = grid.r()
-    umin = float(np.min(potential(rr)))
+def _bisect(condition, lo, hi, flo) -> np.ndarray:
+    """Midpoints of the brackets [lo, hi] of a real condition after
+    _BISECT_ITERS halvings, all brackets in one batch; flo holds the
+    condition at lo. A bracket with lo == hi is an exact root and stays."""
+    lo, hi, flo = np.asarray(lo), np.asarray(hi), np.asarray(flo)
+    live = lo < hi
+    for _ in range(_BISECT_ITERS):
+        if not live.any():
+            break
+        mid = 0.5 * (lo + hi)
+        fm = np.zeros_like(mid)
+        fm[live] = condition(mid[live])
+        same = np.sign(fm) == np.sign(flo)
+        lo = np.where(live & same, mid, lo)
+        flo = np.where(live & same, fm, flo)
+        hi = np.where(live & ~same, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+def _scan_roots(potential: Potential, grid: Grid, condition) -> list[float]:
+    """Zeros of a real bound-state condition of kappa on (0, sqrt(-min U)],
+    deepest first: a sign scan on _N_SCAN points, then bisection of
+    every sign change."""
+    umin = float(np.min(potential(grid.r())))
     if umin >= 0.0:
         return []
     amax = math.sqrt(-umin)
@@ -86,8 +106,8 @@ def _scan_alphas(
         return []
 
     def scan(lo_, hi_):
-        ks = np.linspace(lo_, hi_, n_scan)
-        return ks, jost_on_imaginary_axis(potential, l, ks, grid)
+        ks = np.linspace(lo_, hi_, _N_SCAN)
+        return ks, condition(ks)
 
     ks, fv = scan(lo, amax)
     scale = float(np.median(np.abs(fv))) or 1.0
@@ -96,7 +116,7 @@ def _scan_alphas(
         ks, fv = scan(lo * 0.5, amax * 1.01)
 
     left, right, fleft = [], [], []
-    for i in range(n_scan - 1):
+    for i in range(_N_SCAN - 1):
         if fv[i] == 0.0:
             left.append(ks[i])
             right.append(ks[i])
@@ -107,23 +127,7 @@ def _scan_alphas(
             fleft.append(fv[i])
     if not left:
         return []
-
-    lo_a = np.asarray(left)
-    hi_a = np.asarray(right)
-    flo = np.asarray(fleft)
-    live = lo_a < hi_a
-    for _ in range(_BISECT_ITERS):
-        if not live.any():
-            break
-        mid = 0.5 * (lo_a + hi_a)
-        fm = np.empty_like(mid)
-        fm[live] = jost_on_imaginary_axis(potential, l, mid[live], grid)
-        fm[~live] = 0.0
-        same = np.sign(fm) == np.sign(flo)
-        lo_a = np.where(live & same, mid, lo_a)
-        flo = np.where(live & same, fm, flo)
-        hi_a = np.where(live & ~same, mid, hi_a)
-    roots = 0.5 * (lo_a + hi_a)
+    roots = _bisect(condition, left, right, fleft)
     return sorted((float(x) for x in roots), reverse=True)
 
 
@@ -134,14 +138,17 @@ def find_bound_states(
     *,
     h: float = 1.0 / 256.0,
     r_max: float | None = None,
-    n_scan: int = 200,
 ) -> list[BoundState]:
     """All bound states for the given l, deepest (largest alpha) first."""
     if grid is None:
         grid = make_grid(potential, h=h, r_max=r_max)
+
+    def condition(kappa):
+        return jost_on_imaginary_axis(potential, l, kappa, grid)
+
     return [
         build_bound_state(potential, l, a, grid)
-        for a in _scan_alphas(potential, l, grid, n_scan)
+        for a in _scan_roots(potential, grid, condition)
     ]
 
 
@@ -172,15 +179,7 @@ def _check_regular_at_origin(
                 f"does not vanish at the origin ({abs(vals[0]):.2e} vs peak {peak:.2e})"
             )
         return
-    u0, u1, u2 = potential.taylor_at_zero()
-    k2 = -(alpha**2)
-    c2 = (u0 - k2) / (4 * l + 6)
-    c3 = u1 / (6 * l + 12)
-    c4 = (0.5 * u2 + (u0 - k2) * c2) / (8 * l + 20)
-
-    def series(rr):
-        return rr ** (l + 1) * (1.0 + c2 * rr**2 + c3 * rr**3 + c4 * rr**4)
-
+    series = _origin_series(potential, l, -(alpha**2))
     expected = series(2 * grid.h) / series(grid.h)
     actual = vals[2] / vals[1]
     if not math.isfinite(actual) or abs(actual / expected - 1.0) > 0.05:

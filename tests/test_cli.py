@@ -237,16 +237,6 @@ def test_validation_exit_codes(specs, capsys):
         assert "error" in cap.err.lower()
 
 
-def test_thread_cap_env(specs, capsys, monkeypatch):
-    monkeypatch.setenv("POLEWAVE_THREADS", "zero")
-    rc, cap = run(["bound", "--potential", specs["square"]], capsys)
-    assert rc == 3
-    assert "POLEWAVE_THREADS" in cap.err
-    monkeypatch.setenv("POLEWAVE_THREADS", "1")
-    rc, _ = run(["bound", "--potential", specs["square"]], capsys)
-    assert rc == 0
-
-
 def test_console_entry_point(specs, tmp_path):
     """One subprocess pass through the installed module path, checking
     the same bytes come out of a fresh interpreter."""

@@ -52,6 +52,18 @@ def test_odd_alpha_is_the_radial_alpha(oned41_odd, sq41_states):
     assert abs(s1.norm_constant - s3.asymptotic_norm / math.sqrt(2.0)) < 1e-8
 
 
+def test_even_phase_closed_form(oned41):
+    """Inside the square line the even wave is cos(K x), K^2 = k^2 + U0;
+    matching value and slope to A cos(k x + delta), A > 0, at x = a
+    fixes delta_plus mod 2 pi."""
+    p, grid = oned41
+    k = np.array([0.3, 1.0, 2.5])
+    delta = solve_parity(p, "even", k, grid).delta
+    big_k = np.sqrt(4.0 + k * k)
+    ref = np.angle(np.cos(big_k) + 1j * (big_k / k) * np.sin(big_k)) - k
+    assert np.max(np.abs(np.angle(np.exp(1j * (delta - ref))))) < 1e-6
+
+
 def test_even_norm_constant_closed_form(oned41_even):
     """Full-line normalization of cos(K x) matched to e^{-alpha x}."""
     s = oned41_even[0]
@@ -177,8 +189,6 @@ def test_parity_validation(oned41, oned41_even):
         solve_parity(p, "both", np.array([1.0]), grid)
     with pytest.raises(SpecError):
         solve_parity(p, "even", np.array([-1.0]), grid)
-    with pytest.raises(SpecError):
-        find_bound_1d(p, "even", grid, alpha_window=(2.0, 1.0))
     with pytest.raises(SpecError):
         extrapolant_samples_1d(p, "even", alpha, grid, mode="diagonal")
     with pytest.raises(SpecError):

@@ -251,3 +251,25 @@ def test_branch_sign_validation(sq41):
     pot, grid = sq41
     with pytest.raises(SpecError):
         pole_branch_sign(pot, 0, 0.0, grid)
+
+
+def test_derivative_prefactor_form_is_worse_at_scattering_energies(sq41, sq41_states):
+    """At real momenta up to the pole scale both forms miss -u by a lot
+    (the pole is an alpha^2 away), and the derivative form misses by
+    more at every k tested."""
+    pot, grid = sq41
+    state = sq41_states[0]
+    alpha = state.alpha
+    k = alpha * np.array([0.25, 0.5, 1.0])
+    r = grid.r()
+    sel = (r >= 0.5) & (r <= 3.0 / alpha)
+    expected = -state.u[sel]
+    denom = np.maximum(np.abs(expected), 1e-3 * float(np.max(np.abs(state.u))))
+    s = pole_branch_sign(pot, 0, alpha, grid)
+    wave = physical_wave(pot, 0, k, grid)
+    ours = s * math.sqrt(2 * alpha) * np.sqrt(alpha**2 + k**2) * wave.values
+    gw = gw_extrapolant(pot, alpha, k, grid)
+    for j in range(k.size):
+        ours_err = np.max(np.abs(ours[sel, j] - expected) / denom)
+        gw_err = np.max(np.abs(gw.values[sel, j] - expected) / denom)
+        assert gw_err > ours_err, f"k = {k[j]:.4f}: gw {gw_err:.4g}, ours {ours_err:.4g}"

@@ -133,3 +133,17 @@ def test_square_well_spectrum_is_complete(depth, radius):
     assert len(states) == len(expected)
     for s, a in zip(states, expected):
         assert s.alpha == pytest.approx(a, abs=1e-7)
+
+
+def test_step_halving_converges_at_fourth_order(sq41, sq41_oracle):
+    """Halving h from 1/32 to 1/64 must cut the oracle error of both
+    alpha and N by at least 8 (fourth order gives 16)."""
+    pot, _ = sq41
+    a = sq41_oracle.bound_alphas(0)[0]
+    n = sq41_oracle.normalization(0, a)
+    err = {}
+    for h in (1 / 32, 1 / 64):
+        s = find_bound_states(pot, 0, make_grid(pot, h=h))[0]
+        err[h] = np.array([abs(s.alpha - a), abs(s.asymptotic_norm - n)])
+    factors = err[1 / 32] / err[1 / 64]
+    assert np.all(factors >= 8.0), f"halving factors (alpha, N): {factors}"
