@@ -9,8 +9,8 @@ files that can be diffed in regression tests. Floats are printed with 17
 significant digits for exact round-trips.
 
 Exit codes: 0 success, 2 no bound state in the search window, 3 a
-potential spec or option failed validation, 4 a computation failed
-numerically.
+potential spec or option failed validation (a float option that is not
+a finite number included), 4 a computation failed numerically.
 
 There is no plotting dependency. --plot-data writes the same rows as a
 whitespace-separated table with a comment header, which gnuplot and
@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["main"]
 
@@ -43,79 +43,76 @@ class _Parser(argparse.ArgumentParser):
         raise _Usage(message)
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved invocation, the thing that gets hashed."""
+@dataclass(frozen=True)
+class _Option:
+    """One command-line option, declared once: its flag, value type,
+    default and choices, the one subcommand that owns it (None: every
+    subcommand), whether it enters the config digest, and the range
+    check of its values. Float values must be finite."""
 
-    subcommand: str
-    potential: str | None = None
-    ell: int = 0
-    kmin: float = 0.1
-    kmax: float = 3.0
-    ksteps: int = 30
-    h: float = 1.0 / 256.0
-    rmax: float | None = None
-    order: int = 2
-    sample_mode: str = "near"
-    sample_count: int = 6
-    sample_spacing: float | None = None
-    fmt: str = "csv"
-    out: str | None = None
-    plot_data: str | None = None
-    alpha: float = 1.0
-    beta: float = 5.0
-    parity: str = "even"
-    spec_text: str | None = field(default=None, repr=False)
+    flag: str
+    kind: type
+    default: object = None
+    choices: tuple | None = None
+    owner: str | None = None
+    hashed: bool = True
+    at_least: int | None = None
+    positive: bool = False
+    dest: str | None = None
+    help: str | None = None
 
-    def validate(self) -> None:
-        if self.ell < 0:
-            raise _Usage("--ell must be >= 0")
-        if not (self.kmin > 0 and self.kmax > self.kmin):
-            raise _Usage("need 0 < kmin < kmax")
-        if self.ksteps < 1:
-            raise _Usage("--ksteps must be >= 1")
-        if not (self.h > 0 and math.isfinite(self.h)):
-            raise _Usage("--h must be positive")
-        if self.rmax is not None and not (self.rmax > 0 and math.isfinite(self.rmax)):
-            raise _Usage("--rmax must be positive")
-        if self.order < 0:
-            raise _Usage("--order must be >= 0")
-        if self.sample_mode not in ("near", "real"):
-            raise _Usage("--sample-mode must be 'near' or 'real'")
-        if self.sample_count < 2:
-            raise _Usage("--sample-count must be >= 2")
-        if self.sample_spacing is not None and self.sample_spacing <= 0:
-            raise _Usage("--sample-spacing must be positive")
-        if self.fmt not in ("csv", "json"):
-            raise _Usage("--format must be csv or json")
-        if self.parity not in ("even", "odd"):
-            raise _Usage("--parity must be even or odd")
+    @property
+    def name(self) -> str:
+        return self.dest or self.flag[2:].replace("-", "_")
 
-    def spacing(self) -> float:
-        if self.sample_spacing is not None:
-            return self.sample_spacing
-        return 0.0005 if self.sample_mode == "near" else 0.05
+    def parse(self, text: str):
+        try:
+            value = self.kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a valid {self.kind.__name__}: {text!r}") from None
+        if self.kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError("must be a finite number")
+        if self.at_least is not None and value < self.at_least:
+            raise argparse.ArgumentTypeError(f"must be >= {self.at_least}")
+        if self.positive and not value > 0:
+            raise argparse.ArgumentTypeError("must be positive")
+        return value
 
-    def digest(self) -> str:
-        payload = {
-            "subcommand": self.subcommand,
-            "potential_spec": self.spec_text,
-            "ell": self.ell,
-            "kmin": self.kmin,
-            "kmax": self.kmax,
-            "ksteps": self.ksteps,
-            "h": self.h,
-            "rmax": self.rmax,
-            "order": self.order,
-            "sample_mode": self.sample_mode,
-            "sample_count": self.sample_count,
-            "sample_spacing": self.sample_spacing,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "parity": self.parity,
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+
+_OPTIONS = (
+    # the digest hashes the spec's text, not its path
+    _Option("--potential", str, hashed=False, help="JSON potential spec file"),
+    _Option("--ell", int, 0, at_least=0),
+    _Option("--kmin", float, 0.1, positive=True),
+    _Option("--kmax", float, 3.0),
+    _Option("--ksteps", int, 30, at_least=1),
+    _Option("--h", float, 1.0 / 256.0, positive=True),
+    _Option("--rmax", float, positive=True),
+    _Option("--order", int, 2, at_least=0),
+    _Option("--sample-mode", str, "near", choices=("near", "real")),
+    _Option("--sample-count", int, 6, at_least=2),
+    _Option("--sample-spacing", float, positive=True),
+    _Option("--format", str, "csv", choices=("csv", "json"), hashed=False, dest="fmt"),
+    _Option("--out", str, hashed=False),
+    _Option("--plot-data", str, hashed=False),
+    _Option("--alpha", float, 1.0, owner="separable"),
+    _Option("--beta", float, 5.0, owner="separable"),
+    _Option("--parity", str, "even", choices=("even", "odd"), owner="oned"),
+)
+
+
+def _spacing(cfg: argparse.Namespace) -> float:
+    if cfg.sample_spacing is not None:
+        return cfg.sample_spacing
+    return 0.0005 if cfg.sample_mode == "near" else 0.05
+
+
+def _digest(cfg: argparse.Namespace) -> str:
+    """sha256 of the fully resolved configuration."""
+    payload = {o.name: getattr(cfg, o.name) for o in _OPTIONS if o.hashed}
+    payload.update(subcommand=cfg.subcommand, potential_spec=cfg.spec_text)
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 @dataclass
@@ -127,7 +124,7 @@ class Table:
     verdict: list[tuple[str, object]]
 
 
-def _load_spec(cfg: RunConfig):
+def _load_spec(cfg: argparse.Namespace):
     from .potentials import PotentialSpec, make_potential
 
     if not cfg.potential:
@@ -168,7 +165,7 @@ def _load_spec(cfg: RunConfig):
     return make_potential(spec)
 
 
-def _k_grid(cfg: RunConfig):
+def _k_grid(cfg: argparse.Namespace):
     import numpy as np
 
     if cfg.ksteps == 1:
@@ -176,21 +173,37 @@ def _k_grid(cfg: RunConfig):
     return np.linspace(cfg.kmin, cfg.kmax, cfg.ksteps)
 
 
+def _grid(cfg: argparse.Namespace, potential):
+    from .potentials import make_grid
+
+    return make_grid(potential, h=cfg.h, r_max=cfg.rmax)
+
+
+def _states(cfg: argparse.Namespace):
+    """The potential, its grid and its bound states at l = --ell,
+    deepest first; NoBoundStateError if there are none."""
+    from .errors import NoBoundStateError
+    from .spectrum import find_bound_states
+
+    pot = _load_spec(cfg)
+    grid = _grid(cfg, pot)
+    states = find_bound_states(pot, cfg.ell, grid)
+    if not states:
+        raise NoBoundStateError(f"no bound state with l = {cfg.ell}")
+    return pot, grid, states
+
+
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_phases(cfg: RunConfig) -> Table:
+def cmd_phases(cfg: argparse.Namespace) -> Table:
     import numpy as np
 
-    from .potentials import make_grid
-    from .radial import _jost_from_regular, solve_regular
+    from .radial import regular_and_jost
 
     pot = _load_spec(cfg)
-    grid = make_grid(pot, h=cfg.h, r_max=cfg.rmax)
     k = _k_grid(cfg)
-    phi = solve_regular(pot, cfg.ell, k, grid).values
-    f_up = _jost_from_regular(pot, cfg.ell, k, grid, phi)
-    f_dn = _jost_from_regular(pot, cfg.ell, -k, grid, phi)
+    _, f_up, f_dn = regular_and_jost(pot, cfg.ell, k, _grid(cfg, pot))
     delta = -np.angle(f_up)
     if k.size >= 2:
         delta = np.unwrap(delta)
@@ -203,16 +216,10 @@ def cmd_phases(cfg: RunConfig) -> Table:
     return Table(["k", "delta", "s_unitarity_deviation"], rows, verdict)
 
 
-def cmd_bound(cfg: RunConfig) -> Table:
-    from .errors import NoBoundStateError
-    from .potentials import make_grid
-    from .spectrum import asymptotic_coefficient, find_bound_states
+def cmd_bound(cfg: argparse.Namespace) -> Table:
+    from .spectrum import asymptotic_coefficient
 
-    pot = _load_spec(cfg)
-    grid = make_grid(pot, h=cfg.h, r_max=cfg.rmax)
-    states = find_bound_states(pot, cfg.ell, grid)
-    if not states:
-        raise NoBoundStateError(f"no bound state with l = {cfg.ell}")
+    _, _, states = _states(cfg)
     rows = [
         [
             float(cfg.ell),
@@ -227,22 +234,15 @@ def cmd_bound(cfg: RunConfig) -> Table:
     return Table(["ell", "alpha", "energy", "norm_constant", "anc"], rows, verdict)
 
 
-def cmd_verify_pole(cfg: RunConfig) -> Table:
-    from .errors import NoBoundStateError
+def cmd_verify_pole(cfg: argparse.Namespace) -> Table:
     from .poletheorem import (
         compare_to_bound,
         extrapolant_samples,
         extrapolant_samples_near_pole,
         extrapolate_to_pole,
     )
-    from .potentials import make_grid
-    from .spectrum import find_bound_states
 
-    pot = _load_spec(cfg)
-    grid = make_grid(pot, h=cfg.h, r_max=cfg.rmax)
-    states = find_bound_states(pot, cfg.ell, grid)
-    if not states:
-        raise NoBoundStateError(f"no bound state with l = {cfg.ell}")
+    pot, grid, states = _states(cfg)
     rows: list[list[float]] = []
     per_state: list[tuple[str, object]] = []
     worst = 0.0
@@ -250,12 +250,12 @@ def cmd_verify_pole(cfg: RunConfig) -> Table:
         if cfg.sample_mode == "near":
             samples = extrapolant_samples_near_pole(
                 pot, cfg.ell, st.alpha, grid,
-                n_samples=cfg.sample_count, spacing=cfg.spacing(),
+                n_samples=cfg.sample_count, spacing=_spacing(cfg),
             )
         else:
             samples = extrapolant_samples(
                 pot, cfg.ell, st.alpha, grid,
-                n_samples=cfg.sample_count, spacing=cfg.spacing(),
+                n_samples=cfg.sample_count, spacing=_spacing(cfg),
             )
         ext = extrapolate_to_pole(samples, order=cfg.order)
         cmp_ = compare_to_bound(ext, st)
@@ -272,17 +272,10 @@ def cmd_verify_pole(cfg: RunConfig) -> Table:
     )
 
 
-def cmd_residue(cfg: RunConfig) -> Table:
-    from .errors import NoBoundStateError
+def cmd_residue(cfg: argparse.Namespace) -> Table:
     from .poletheorem import residue_prediction, smatrix_residue
-    from .potentials import make_grid
-    from .spectrum import find_bound_states
 
-    pot = _load_spec(cfg)
-    grid = make_grid(pot, h=cfg.h, r_max=cfg.rmax)
-    states = find_bound_states(pot, cfg.ell, grid)
-    if not states:
-        raise NoBoundStateError(f"no bound state with l = {cfg.ell}")
+    pot, grid, states = _states(cfg)
     rows = []
     worst = 0.0
     for st in states:
@@ -324,33 +317,32 @@ def cmd_residue(cfg: RunConfig) -> Table:
     )
 
 
-def cmd_gw_compare(cfg: RunConfig) -> Table:
+def cmd_gw_compare(cfg: argparse.Namespace) -> Table:
     import numpy as np
 
-    from .errors import NoBoundStateError, SpecError
-    from .poletheorem import _imaginary_axis_data, gw_extrapolant, pole_branch_sign
-    from .potentials import make_grid
-    from .radial import _jost_from_regular, solve_regular
-    from .spectrum import find_bound_states
+    from .errors import SpecError
+    from .poletheorem import gw_extrapolant
 
     if cfg.ell != 0:
         raise SpecError("the competing prefactor form is defined for l = 0")
-    pot = _load_spec(cfg)
-    grid = make_grid(pot, h=cfg.h, r_max=cfg.rmax)
-    states = find_bound_states(pot, 0, grid)
-    if not states:
-        raise NoBoundStateError("no s-wave bound state")
+    pot, grid, states = _states(cfg)
     st = states[0]
     alpha = st.alpha
     # tighter window than the pole-verification one: past ~3/alpha both
     # forms share the same admixture error and the comparison washes out
-    lo, hi = 0.5, min(3.0 / alpha, grid.r_max)
     r = grid.r()
-    sel = (r >= lo) & (r <= hi)
+    sel = (r >= 0.5) & (r <= min(3.0 / alpha, grid.r_max))
     expected = -st.u[sel]
-    peak = float(np.max(np.abs(st.u)))
-    denom = np.maximum(np.abs(expected), 1e-3 * peak)
-    s = pole_branch_sign(pot, 0, alpha, grid)
+    denom = np.maximum(np.abs(expected), 1e-3 * float(np.max(np.abs(st.u))))
+
+    def errors(k):
+        """Largest deviation from -u at each k of the universal form
+        and of the derivative form."""
+        forms = gw_extrapolant(pot, alpha, k, grid)
+        return [
+            [float(np.max(np.abs(vals[sel, j] - expected) / denom)) for j in range(k.size)]
+            for vals in (forms.universal.g, forms.values)
+        ]
 
     if cfg.sample_mode == "near":
         # geometric ladder of pole distances d_j = alpha^2 4^{-j}; both
@@ -359,22 +351,14 @@ def cmd_gw_compare(cfg: RunConfig) -> Table:
         frac = 4.0 ** -np.arange(1, cfg.sample_count + 1)
         kappa = alpha * np.sqrt(1.0 - frac)
         dist = alpha**2 * frac
-        phi, f_up, f_dn = _imaginary_axis_data(pot, 0, kappa, grid)
-        ours = s * math.sqrt(2.0 * alpha) * np.sqrt(dist) * phi / np.sqrt(f_up * f_dn)
-        gw = gw_extrapolant(pot, alpha, 1j * kappa, grid)
-        rows = []
-        for j in range(len(kappa)):
-            ours_err = float(np.max(np.abs(ours[sel, j] - expected) / denom))
-            gw_err = float(np.max(np.abs(gw.values[sel, j] - expected) / denom))
-            rows.append([float(dist[j]), float(kappa[j]), ours_err, gw_err])
+        ours, gw = errors(1j * kappa)
+        rows = [[float(d), float(kk), o, g] for d, kk, o, g in zip(dist, kappa, ours, gw)]
         logd = np.log(dist)
-        slope_ours = float(np.polyfit(logd, np.log([r_[2] for r_ in rows]), 1)[0])
-        slope_gw = float(np.polyfit(logd, np.log([r_[3] for r_ in rows]), 1)[0])
         verdict = [
-            ("gw_worse_at_largest_distance", bool(rows[0][3] > rows[0][2])),
+            ("gw_worse_at_largest_distance", bool(gw[0] > ours[0])),
             ("alpha", alpha),
-            ("slope_ours", slope_ours),
-            ("slope_gw", slope_gw),
+            ("slope_ours", float(np.polyfit(logd, np.log(ours), 1)[0])),
+            ("slope_gw", float(np.polyfit(logd, np.log(gw), 1)[0])),
             ("n_distances", len(rows)),
         ]
         return Table(["distance", "kappa", "ours_err", "gw_err"], rows, verdict)
@@ -382,38 +366,22 @@ def cmd_gw_compare(cfg: RunConfig) -> Table:
     # real mode (the default here): both forms against -u at scattering
     # energies; the interesting regime is k at or below the pole scale
     k = _k_grid(cfg)
-    phi = solve_regular(pot, 0, k, grid).values
-    f = _jost_from_regular(pot, 0, k, grid, phi)
-    phi = phi.real
-    ours = (
-        s
-        * math.sqrt(2.0 * alpha)
-        * np.sqrt(alpha**2 + k**2)[None, :]
-        * phi
-        / np.abs(f)[None, :]
-    )
-    gw = gw_extrapolant(pot, alpha, k, grid)
-    rows = []
-    n_worse = 0
-    for j, kk in enumerate(k):
-        ours_err = float(np.max(np.abs(ours[sel, j] - expected) / denom))
-        gw_err = float(np.max(np.abs(gw.values[sel, j] - expected) / denom))
-        n_worse += gw_err > ours_err
-        rows.append([float(kk), ours_err, gw_err])
+    ours, gw = errors(k)
+    rows = [[float(kk), o, g] for kk, o, g in zip(k, ours, gw)]
     j_near = int(np.argmin(np.abs(k - alpha)))
     verdict = [
-        ("gw_worse_nearest_pole", bool(rows[j_near][2] > rows[j_near][1])),
+        ("gw_worse_nearest_pole", bool(gw[j_near] > ours[j_near])),
         ("alpha", alpha),
         ("k_nearest_pole", float(k[j_near])),
-        ("ours_err_nearest", rows[j_near][1]),
-        ("gw_err_nearest", rows[j_near][2]),
-        ("n_gw_worse", int(n_worse)),
+        ("ours_err_nearest", ours[j_near]),
+        ("gw_err_nearest", gw[j_near]),
+        ("n_gw_worse", sum(g > o for o, g in zip(ours, gw))),
         ("n_k", len(rows)),
     ]
     return Table(["k", "ours_err", "gw_err"], rows, verdict)
 
 
-def cmd_separable(cfg: RunConfig) -> Table:
+def cmd_separable(cfg: argparse.Namespace) -> Table:
     from .separable import (
         SeparableModel,
         sep_compare_forms,
@@ -444,7 +412,7 @@ def cmd_separable(cfg: RunConfig) -> Table:
     return Table(["k", "z", "ours_err", "gw_err"], rows, verdict)
 
 
-def cmd_oned(cfg: RunConfig) -> Table:
+def cmd_oned(cfg: argparse.Namespace) -> Table:
     from .errors import NoBoundStateError
     from .onedim import (
         Potential1D,
@@ -454,10 +422,9 @@ def cmd_oned(cfg: RunConfig) -> Table:
         residue_prediction_1d,
         zero_energy_phase,
     )
-    from .potentials import make_grid
 
     pot = Potential1D(_load_spec(cfg))
-    grid = make_grid(pot.half, h=cfg.h, r_max=cfg.rmax)
+    grid = _grid(cfg, pot.half)
     states = find_bound_1d(pot, cfg.parity, grid)
     if not states:
         raise NoBoundStateError(f"no {cfg.parity} bound state")
@@ -468,7 +435,7 @@ def cmd_oned(cfg: RunConfig) -> Table:
         ext, cmp_ = pole_extrapolate_1d(
             pot, cfg.parity, st, grid,
             n_samples=cfg.sample_count,
-            spacing=cfg.spacing(),
+            spacing=_spacing(cfg),
             mode=cfg.sample_mode,
             order=cfg.order,
         )
@@ -540,11 +507,11 @@ def _verdict_value(v) -> str:
     return str(v)
 
 
-def _render_csv(table: Table, cfg: RunConfig) -> str:
+def _render_csv(table: Table, cfg: argparse.Namespace) -> str:
     lines = [
         f"# polewave {_version()}",
         f"# units: {_UNITS}",
-        f"# config: sha256:{cfg.digest()}",
+        f"# config: sha256:{_digest(cfg)}",
         f"# subcommand: {cfg.subcommand}",
         ",".join(table.columns),
     ]
@@ -555,13 +522,13 @@ def _render_csv(table: Table, cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_json(table: Table, cfg: RunConfig) -> str:
+def _render_json(table: Table, cfg: argparse.Namespace) -> str:
     doc = {
         "meta": {
             "tool": "polewave",
             "version": _version(),
             "units": _UNITS,
-            "config_sha256": cfg.digest(),
+            "config_sha256": _digest(cfg),
             "subcommand": cfg.subcommand,
         },
         "columns": table.columns,
@@ -571,9 +538,9 @@ def _render_json(table: Table, cfg: RunConfig) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-def _render_plot(table: Table, cfg: RunConfig) -> str:
+def _render_plot(table: Table, cfg: argparse.Namespace) -> str:
     lines = [
-        f"# polewave {_version()}  {cfg.subcommand}  config sha256:{cfg.digest()}",
+        f"# polewave {_version()}  {cfg.subcommand}  config sha256:{_digest(cfg)}",
         "# columns: " + " ".join(table.columns),
     ]
     for row in table.rows:
@@ -600,25 +567,18 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--potential", help="JSON potential spec file")
-        p.add_argument("--ell", type=int, default=0)
-        p.add_argument("--kmin", type=float, default=0.1)
-        p.add_argument("--kmax", type=float, default=3.0)
-        p.add_argument("--ksteps", type=int, default=30)
-        p.add_argument("--h", type=float, default=1.0 / 256.0)
-        p.add_argument("--rmax", type=float, default=None)
-        p.add_argument("--order", type=int, default=2)
-        p.add_argument("--sample-mode", choices=("near", "real"), default="near")
-        p.add_argument("--sample-count", type=int, default=6)
-        p.add_argument("--sample-spacing", type=float, default=None)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None)
-        p.add_argument("--plot-data", default=None)
-        if name == "separable":
-            p.add_argument("--alpha", type=float, default=1.0)
-            p.add_argument("--beta", type=float, default=5.0)
-        if name == "oned":
-            p.add_argument("--parity", choices=("even", "odd"), default="even")
+        for opt in _OPTIONS:
+            if opt.owner in (None, name):
+                p.add_argument(
+                    opt.flag, dest=opt.name, type=opt.parse, default=opt.default,
+                    choices=opt.choices, help=opt.help,
+                )
+        # an option another subcommand owns keeps its default here, so
+        # every config carries every field the digest hashes
+        p.set_defaults(
+            spec_text=None,
+            **{o.name: o.default for o in _OPTIONS if o.owner not in (None, name)},
+        )
         if name == "gw-compare":
             # the head-to-head at scattering energies is the headline
             p.set_defaults(sample_mode="real")
@@ -626,30 +586,10 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-        cfg = RunConfig(
-            subcommand=ns.subcommand,
-            potential=ns.potential,
-            ell=ns.ell,
-            kmin=ns.kmin,
-            kmax=ns.kmax,
-            ksteps=ns.ksteps,
-            h=ns.h,
-            rmax=ns.rmax,
-            order=ns.order,
-            sample_mode=ns.sample_mode,
-            sample_count=ns.sample_count,
-            sample_spacing=ns.sample_spacing,
-            fmt=ns.fmt,
-            out=ns.out,
-            plot_data=ns.plot_data,
-            alpha=getattr(ns, "alpha", 1.0),
-            beta=getattr(ns, "beta", 5.0),
-            parity=getattr(ns, "parity", "even"),
-        )
-        cfg.validate()
+        cfg = _build_parser().parse_args(argv)
+        if not cfg.kmax > cfg.kmin:
+            raise _Usage("need 0 < kmin < kmax")
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -57,7 +57,9 @@ from .poletheorem import (
     ResidueEstimate,
     _branch_sign,
     _comparison_nodes,
+    _extrapolant,
     _ladder_residue,
+    _sample_window,
     extrapolate_to_pole,
 )
 from .radial import _sweep_regular, solve_jost_reduced, solve_regular
@@ -216,9 +218,6 @@ def find_bound_1d(
     p: Potential1D,
     parity: str,
     grid: Grid | None = None,
-    *,
-    h: float = 1.0 / 256.0,
-    r_max: float | None = None,
 ) -> list[BoundState1D]:
     """All bound states of one parity, deepest first.
 
@@ -228,7 +227,7 @@ def find_bound_1d(
     """
     _check_parity(parity)
     if grid is None:
-        grid = make_grid(p.half, h=h, r_max=r_max)
+        grid = make_grid(p.half)
 
     def condition(kappa):
         return _parity_condition(p, parity, kappa, grid)
@@ -259,8 +258,8 @@ def build_bound_1d(p: Potential1D, parity: str, alpha: float, grid: Grid) -> Bou
     return BoundState1D(grid, parity, alpha, u, n_const)
 
 
-def ground_state_1d(p: Potential1D, parity: str, grid: Grid | None = None, **kw) -> BoundState1D:
-    states = find_bound_1d(p, parity, grid, **kw)
+def ground_state_1d(p: Potential1D, parity: str, grid: Grid | None = None) -> BoundState1D:
+    states = find_bound_1d(p, parity, grid)
     if not states:
         raise NoBoundStateError(f"no {parity} bound state for this potential")
     return states[0]
@@ -305,39 +304,16 @@ def extrapolant_samples_1d(
     Reuses the radial fitting machinery downstream (l is stored as 0).
     """
     _check_parity(parity)
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise SpecError("alpha must be positive")
-    if n_samples < 2 or spacing <= 0:
-        raise SpecError("need at least 2 samples with positive spacing")
-    if mode == "near":
-        if spacing * n_samples >= 1:
-            raise SpecError("sample window must stay between the pole and t = 0")
-        frac = 1.0 - spacing * np.arange(1, n_samples + 1)
-        t = -(alpha**2) * frac
-        k = 1j * alpha * np.sqrt(frac)
-    elif mode == "real":
-        t = spacing * alpha**2 * np.arange(1, n_samples + 1)
-        k = np.sqrt(t).astype(complex)
-    else:
-        raise SpecError(f"unknown sampling mode {mode!r}")
+    t, k = _sample_window(alpha, n_samples, spacing, mode)
     y = _parity_sweep(p, parity, k, grid).real
-    f0_up, fp0_up = _origin_jost(p, k, grid)
-    f0_dn, fp0_dn = _origin_jost(p, -k, grid)
-    if parity == "even":
-        w = (fp0_up * fp0_dn).real
-    else:
-        w = (f0_up * f0_dn).real
-    if np.any(w == 0) or np.any(np.sign(w) != np.sign(w[0])):
-        raise NumericalError(
-            "W(t) changes sign inside the sample window; another pole or "
-            "zero of this parity channel lies between samples and target"
-        )
-    side = math.copysign(1.0, w[0])
+    (f0_up, fp0_up), (f0_dn, fp0_dn) = _origin_jost(p, k, grid), _origin_jost(p, -k, grid)
+    w = (fp0_up * fp0_dn if parity == "even" else f0_up * f0_dn).real
     sigma = parity_branch_sign(p, parity, alpha, grid)
     asym = 1.0 if parity == "even" else -1.0
-    g = sigma * asym * np.sqrt(alpha * (alpha**2 + t)) * y / np.sqrt(side * w)
     mode_name = "imaginary" if mode == "near" else "real"
-    return ExtrapolantSamples(grid, 0, alpha, t, g, w, mode_name, sigma, side)
+    return _extrapolant(
+        grid, 0, alpha, mode_name, t, y, w, sigma, asym * np.sqrt(alpha * (alpha**2 + t))
+    )
 
 
 def compare_to_bound_1d(

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
@@ -60,6 +60,7 @@ from .radial import (
     _jost_from_regular,
     jost_function,
     jost_on_imaginary_axis,
+    regular_and_jost,
     solve_regular,
 )
 from .spectrum import BoundState
@@ -69,6 +70,8 @@ _DISTANCE_FACTOR = 3.0
 _LADDER_POINTS = 7
 #: polynomial degree of the real-axis residue fit
 _FIT_DEGREE = 8
+#: Chebyshev nodes of the real-axis residue fit
+_FIT_NODES = 12
 #: step of the Jost derivative, relative to |k0|
 _REL_STEP = 0.01
 
@@ -139,10 +142,66 @@ def _imaginary_axis_data(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """phi(i kappa, r) and the real values F(i kappa), F(-i kappa), from
     one regular sweep."""
-    phi = solve_regular(potential, l, 1j * kappa, grid).values
-    f_up = _jost_from_regular(potential, l, 1j * kappa, grid, phi).real
-    f_dn = _jost_from_regular(potential, l, 1j * -kappa, grid, phi).real
-    return phi.real, f_up, f_dn
+    phi, f_up, f_dn = regular_and_jost(potential, l, 1j * kappa, grid)
+    return phi.real, f_up.real, f_dn.real
+
+
+def _sample_window(
+    alpha: float, n_samples: int, spacing: float, mode: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Energies t_j and momenta k_j of a sample window, j = 1..n.
+
+    "real": t_j = spacing alpha^2 j on the scattering side, k_j real.
+    "near": t_j = -alpha^2 (1 - spacing j) between the pole and t = 0,
+    k_j = i alpha sqrt(1 - spacing j) on the imaginary axis.
+    """
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise SpecError("alpha must be positive")
+    if n_samples < 2 or not spacing > 0:
+        raise SpecError("need at least 2 samples with positive spacing")
+    j = np.arange(1, n_samples + 1)
+    if mode == "real":
+        t = spacing * alpha**2 * j
+        return t, np.sqrt(t)
+    if mode != "near":
+        raise SpecError(f"unknown sampling mode {mode!r}")
+    if spacing * n_samples >= 1:
+        raise SpecError("sample window must stay between the pole and t = 0")
+    frac = 1.0 - spacing * j
+    return -(alpha**2) * frac, 1j * alpha * np.sqrt(frac)
+
+
+def _extrapolant(
+    grid: Grid,
+    l: int,
+    alpha: float,
+    mode: str,
+    t: np.ndarray,
+    y: np.ndarray,
+    d: np.ndarray,
+    sign: float,
+    pref: np.ndarray,
+) -> ExtrapolantSamples:
+    """g = sign * pref * y / sqrt(side * D) at the momenta of t, for the
+    outward solution y and the channel strength D of a radial or a line
+    channel; side is the one sign D must keep over the window.
+
+    pref is the caller's prefactor, alpha^l sqrt(2 alpha (alpha^2 + t))
+    radially and +-sqrt(alpha (alpha^2 + t)) on the line; sign is the
+    branch probe. A D that vanishes or changes sign means another
+    S-matrix pole or zero lies between the samples and the target. D
+    may be complex, as F(k) F(-k) is at real k in rounding; its sign is
+    that of its real part.
+    """
+    re = np.real(d)
+    if np.any(d == 0) or np.any(np.sign(re) != np.sign(re[0])):
+        raise NumericalError(
+            "the channel strength D(t) changes sign inside the sample window; "
+            "another S-matrix pole or zero lies between these samples and the target"
+        )
+    side = math.copysign(1.0, re[0])
+    g = sign * pref * y / np.sqrt(side * d)
+    return ExtrapolantSamples(grid, l, alpha, t, g, d, mode, sign, side)
 
 
 def extrapolant_samples(
@@ -155,19 +214,13 @@ def extrapolant_samples(
     spacing: float = 0.05,
 ) -> ExtrapolantSamples:
     """Sample g at real momenta t_j = j * spacing * alpha^2, j = 1..n."""
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise SpecError("alpha must be positive")
-    if n_samples < 2 or spacing <= 0:
-        raise SpecError("need at least 2 samples with positive spacing")
-    t = spacing * alpha**2 * np.arange(1, n_samples + 1)
-    k = np.sqrt(t)
+    t, k = _sample_window(alpha, n_samples, spacing, "real")
     phi = solve_regular(potential, l, k, grid).values
     f = _jost_from_regular(potential, l, k, grid, phi)
     d = (f * np.conj(f)).real
-    phi = phi.real
     s = pole_branch_sign(potential, l, alpha, grid)
-    g = s * alpha**l * math.sqrt(2.0 * alpha) * np.sqrt(alpha**2 + t) * phi / np.sqrt(d)
-    return ExtrapolantSamples(grid, l, alpha, t, g, d, "real", s)
+    pref = alpha**l * math.sqrt(2.0 * alpha) * np.sqrt(alpha**2 + t)
+    return _extrapolant(grid, l, alpha, "real", t, phi.real, d, s, pref)
 
 
 def extrapolant_samples_near_pole(
@@ -200,29 +253,11 @@ def extrapolant_samples_near_pole(
     step): these samples exist to nail the local limit, not to
     demonstrate extrapolation from scattering energies.
     """
-    if n_samples < 2 or not (0 < spacing * n_samples < 1):
-        raise SpecError("sample window must stay between the pole and t = 0")
-    frac = 1.0 - spacing * np.arange(1, n_samples + 1)
-    t = -(alpha**2) * frac
-    kappa = alpha * np.sqrt(frac)
-    phi, f_up, f_dn = _imaginary_axis_data(potential, l, kappa, grid)
-    d = f_up * f_dn
-    if np.any(d == 0) or np.any(np.sign(d) != np.sign(d[0])):
-        raise NumericalError(
-            "D(t) changes sign inside the sample window; another S-matrix "
-            "pole or zero lies between these samples and the target"
-        )
-    side = math.copysign(1.0, d[0])
+    t, k = _sample_window(alpha, n_samples, spacing, "near")
+    phi, f_up, f_dn = _imaginary_axis_data(potential, l, k.imag, grid)
     s = pole_branch_sign(potential, l, alpha, grid)
-    g = (
-        s
-        * alpha**l
-        * math.sqrt(2.0 * alpha)
-        * np.sqrt(alpha**2 + t)
-        * phi
-        / np.sqrt(side * d)
-    )
-    return ExtrapolantSamples(grid, l, alpha, t, g, d, "imaginary", s, side)
+    pref = alpha**l * math.sqrt(2.0 * alpha) * np.sqrt(alpha**2 + t)
+    return _extrapolant(grid, l, alpha, "imaginary", t, phi, f_up * f_dn, s, pref)
 
 
 @dataclass
@@ -351,13 +386,13 @@ def residue_prediction(l: int, asymptotic_norm: float) -> complex:
     return -1j * (-1) ** l * asymptotic_norm**2
 
 
-def _richardson(seq: np.ndarray, ratio: float = 2.0) -> tuple[float, float]:
+def _richardson(seq: np.ndarray) -> tuple[float, float]:
     """Limit of seq_j = s + c1 eps_j + c2 eps_j^2 + ... with eps_j
-    shrinking geometrically by `ratio` per step."""
+    halving per step."""
     t = [np.asarray(seq, dtype=float)]
     while t[-1].size > 1:
         prev = t[-1]
-        fac = ratio ** len(t)
+        fac = 2.0 ** len(t)
         t.append((fac * prev[1:] - prev[:-1]) / (fac - 1.0))
     best = float(t[-1][0])
     prev_best = float(t[-2][0]) if len(t) > 1 and t[-2].size else best
@@ -403,8 +438,7 @@ def smatrix_residue(
 
         value, err = _ladder_residue(alpha, rho)
     elif method == "real_axis_fit":
-        m = max(_FIT_DEGREE + 4, 12)
-        theta = (np.arange(m) + 0.5) * math.pi / m
+        theta = (np.arange(_FIT_NODES) + 0.5) * math.pi / _FIT_NODES
         half = 0.95 * alpha
         center = 1.05 * alpha
         k = center + half * np.cos(theta)
@@ -449,39 +483,44 @@ def jost_derivative(
     grid: Grid,
 ) -> JostDerivative:
     """dF_l/dk at k0 by five-point differencing along the axis k0 lies
-    on, with step halving for an error estimate."""
+    on, with step halving for an error estimate. Both stencils go
+    through one sweep of 8 momenta; the columns of a batch do not
+    interact, so each difference is what a sweep of its own would give."""
     k0 = complex(k0)
     if k0 == 0:
         raise SpecError("jost_derivative needs k0 != 0")
     direction = 1j if abs(k0.real) < 1e-12 * abs(k0) else 1.0
     s = _REL_STEP * abs(k0)
+    steps = (s / 2.0, s)
     stencil = np.array([-2.0, -1.0, 1.0, 2.0])
     weights = np.array([1.0, -8.0, 8.0, -1.0])
-
-    def diff(step: float) -> complex:
-        ks = k0 + direction * step * stencil
-        f = jost_function(potential, l, ks, grid)
-        return complex((f * weights).sum() / (12.0 * step * direction))
-
-    d_half = diff(s / 2.0)
-    d_full = diff(s)
+    ks = np.concatenate([k0 + direction * step * stencil for step in steps])
+    f = jost_function(potential, l, ks, grid)
+    d_half, d_full = (
+        complex((f[4 * i : 4 * i + 4] * weights).sum() / (12.0 * step * direction))
+        for i, step in enumerate(steps)
+    )
     return JostDerivative(d_half, abs(d_half - d_full) / 15.0)
 
 
 @dataclass
 class GwExtrapolant:
-    """The competing prefactor form sqrt(4 i alpha^2 F(k)/Fdot(k)) v(k, r).
+    """Both prefactor forms at the same momenta, s-wave only.
 
-    Exact at the pole like g, and like g its error is linear in the
-    distance to the pole, but with a larger coefficient (measured on
-    the reference rank-one model) and at the cost of a numerical
-    derivative of F at every momentum. s-wave only.
+    values holds the competing form sqrt(4 i alpha^2 F(k)/Fdot(k)) v(k, r),
+    with its prefactor in prefactor. Exact at the pole like g, and like
+    g its error is linear in the distance to the pole, but with a larger
+    coefficient (measured on the reference rank-one model) and at the
+    cost of a numerical derivative of F at every momentum. universal
+    holds the universal form g = sqrt(2 alpha (alpha^2 + k^2)) v(k, r)
+    built from the same sweep, as samples at t = k^2.
     """
 
     grid: Grid
     k: np.ndarray
     values: np.ndarray
     prefactor: np.ndarray
+    universal: ExtrapolantSamples
 
 
 def gw_extrapolant(
@@ -490,20 +529,27 @@ def gw_extrapolant(
     k,
     grid: Grid,
 ) -> GwExtrapolant:
+    """The derivative prefactor form and the universal form at momenta k
+    on the real or the imaginary axis, both on the branch of the g
+    samples, so both aim at -u_alpha and their deviations can be
+    compared head to head. One regular sweep serves the wave, F(k) and
+    F(-k); F' costs one more sweep per momentum."""
     k = np.atleast_1d(np.asarray(k, dtype=complex))
-    phi = solve_regular(potential, 0, k, grid).values
-    f = _jost_from_regular(potential, 0, k, grid, phi)
+    phi, f, f_dn = regular_and_jost(potential, 0, k, grid)
     fdot = np.array([jost_derivative(potential, 0, kk, grid).value for kk in k])
     pref = np.sqrt(4j * alpha**2 * f / fdot)
     # the wave normalization |F| continues off the real axis as
     # sqrt(F(k) F(-k)), which vanishes with F at the pole and keeps the
     # product finite; np.abs would not
-    d = f * _jost_from_regular(potential, 0, -k, grid, phi)
-    # same e^{i delta} branch as the g samples, so both forms aim at
-    # -u_alpha and their deviations can be compared head to head
+    d = f * f_dn
     s = pole_branch_sign(potential, 0, alpha, grid)
     v = s * phi / np.sqrt(d)[None, :]
-    return GwExtrapolant(grid, k, pref[None, :] * v, pref)
+    t = k * k
+    mode = "real" if not np.any(k.imag) else "imaginary"
+    universal = _extrapolant(
+        grid, 0, alpha, mode, t, phi, d, s, math.sqrt(2.0 * alpha) * np.sqrt(alpha**2 + t)
+    )
+    return GwExtrapolant(grid, k, pref[None, :] * v, pref, universal)
 
 
 @dataclass

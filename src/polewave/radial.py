@@ -323,9 +323,6 @@ def jost_function(
     l: int,
     k,
     grid: Grid | None = None,
-    *,
-    h: float = 1.0 / 256.0,
-    r_max: float | None = None,
 ) -> np.ndarray:
     """Jost function F_l(k) for an array of momenta.
 
@@ -334,7 +331,7 @@ def jost_function(
     imaginary axis.
     """
     if grid is None:
-        grid = make_grid(potential, h=h, r_max=r_max)
+        grid = make_grid(potential)
     k = _momenta(k)
     return _jost_from_regular(potential, l, k, grid, solve_regular(potential, l, k, grid).values)
 
@@ -351,14 +348,25 @@ def _jost_from_regular(
     return (-1j * k) ** l * w
 
 
+def regular_and_jost(
+    potential: Potential, l: int, k, grid: Grid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi_l(k, r), F_l(k) and F_l(-k), all from one regular sweep; on
+    the real axis S_l(k) = F_l(-k) / F_l(k)."""
+    k = np.asarray(k)
+    phi = solve_regular(potential, l, k, grid).values
+    return (
+        phi,
+        _jost_from_regular(potential, l, k, grid, phi),
+        _jost_from_regular(potential, l, -k, grid, phi),
+    )
+
+
 def jost_on_imaginary_axis(
     potential: Potential,
     l: int,
     kappa,
     grid: Grid | None = None,
-    *,
-    h: float = 1.0 / 256.0,
-    r_max: float | None = None,
 ) -> np.ndarray:
     """F_l(i kappa) as an exactly real array.
 
@@ -368,7 +376,7 @@ def jost_on_imaginary_axis(
     parts discarded here are identically zero, not merely small.
     """
     kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
-    f = jost_function(potential, l, 1j * kappa, grid, h=h, r_max=r_max)
+    f = jost_function(potential, l, 1j * kappa, grid)
     return f.real
 
 
@@ -377,13 +385,10 @@ def phase_shift(
     l: int,
     k,
     grid: Grid | None = None,
-    *,
-    h: float = 1.0 / 256.0,
-    r_max: float | None = None,
 ) -> np.ndarray:
     """delta_l(k) = -arg F_l(k) on the real axis, principal value."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    return -np.angle(jost_function(potential, l, k, grid, h=h, r_max=r_max))
+    return -np.angle(jost_function(potential, l, k, grid))
 
 
 def phase_shift_curve(
@@ -391,16 +396,13 @@ def phase_shift_curve(
     l: int,
     k,
     grid: Grid | None = None,
-    *,
-    h: float = 1.0 / 256.0,
-    r_max: float | None = None,
 ) -> np.ndarray:
     """Phase shift on an increasing momentum grid, unwrapped to a
     continuous curve (the principal value is restored mod 2 pi)."""
     k = np.asarray(k, dtype=float)
     if k.ndim != 1 or k.size < 2 or np.any(np.diff(k) <= 0):
         raise SpecError("phase_shift_curve wants a strictly increasing momentum grid")
-    return np.unwrap(phase_shift(potential, l, k, grid, h=h, r_max=r_max))
+    return np.unwrap(phase_shift(potential, l, k, grid))
 
 
 @dataclass
@@ -421,13 +423,10 @@ def physical_wave(
     l: int,
     k,
     grid: Grid | None = None,
-    *,
-    h: float = 1.0 / 256.0,
-    r_max: float | None = None,
 ) -> PhysicalWave:
     """Physical scattering wave for real k > 0, batched over momenta."""
     if grid is None:
-        grid = make_grid(potential, h=h, r_max=r_max)
+        grid = make_grid(potential)
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if np.any(k <= 0):
         raise SpecError("physical_wave is defined for real k > 0")

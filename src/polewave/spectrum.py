@@ -135,13 +135,10 @@ def find_bound_states(
     potential: Potential,
     l: int,
     grid: Grid | None = None,
-    *,
-    h: float = 1.0 / 256.0,
-    r_max: float | None = None,
 ) -> list[BoundState]:
     """All bound states for the given l, deepest (largest alpha) first."""
     if grid is None:
-        grid = make_grid(potential, h=h, r_max=r_max)
+        grid = make_grid(potential)
 
     def condition(kappa):
         return jost_on_imaginary_axis(potential, l, kappa, grid)
@@ -156,9 +153,8 @@ def ground_state(
     potential: Potential,
     l: int,
     grid: Grid | None = None,
-    **kwargs,
 ) -> BoundState:
-    states = find_bound_states(potential, l, grid, **kwargs)
+    states = find_bound_states(potential, l, grid)
     if not states:
         raise NoBoundStateError(f"no bound state with l = {l} for this potential")
     return states[0]

@@ -1,12 +1,22 @@
 """Shared fixtures: the stock wells and their spectra, computed once."""
 
+import os
+from pathlib import Path
+
 import pytest
 
+import polewave
 from polewave.analytic import SquareWellOracle
 from polewave.onedim import Potential1D, find_bound_1d
 from polewave.potentials import PotentialSpec, make_grid, make_potential
 from polewave.separable import SeparableModel
 from polewave.spectrum import find_bound_states
+
+# a test that runs `python -m polewave.cli` in a child process needs the
+# package on the child's path as well, also where only pytest's own
+# pythonpath setting put src/ on this one
+_SRC = str(Path(polewave.__file__).resolve().parents[1])
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -237,6 +237,20 @@ def test_validation_exit_codes(specs, capsys):
         assert "error" in cap.err.lower()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["phases", "--kmax", "inf"],
+        ["verify-pole", "--sample-mode", "real", "--sample-spacing", "nan"],
+        ["oned", "--sample-mode", "real", "--sample-spacing", "nan"],
+    ],
+)
+def test_non_finite_options_are_usage_errors(args, specs, capsys):
+    rc, cap = run([*args, "--potential", specs["square"]], capsys)
+    assert rc == 3
+    assert "finite" in cap.err
+
+
 def test_console_entry_point(specs, tmp_path):
     """One subprocess pass through the installed module path, checking
     the same bytes come out of a fresh interpreter."""

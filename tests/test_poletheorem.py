@@ -239,6 +239,21 @@ def test_derivative_prefactor_form_tracks_ours(sq41, sq41_states):
     assert abs(gw_err[-1] - ours_err[-1]) / ours_err[-1] < 1e-2
 
 
+def test_derivative_form_carries_the_universal_samples(sq41, sq41_states):
+    """The universal form gw_extrapolant carries is the near-pole
+    sampler's g at the same momenta."""
+    pot, grid = sq41
+    alpha = sq41_states[0].alpha
+    samples = extrapolant_samples_near_pole(pot, 0, alpha, grid)
+    kappa = np.sqrt(-samples.t)
+    forms = gw_extrapolant(pot, alpha, 1j * kappa, grid)
+    ours = forms.universal.g
+    assert np.max(np.abs(ours.imag)) == 0.0
+    assert forms.universal.branch_sign == samples.branch_sign
+    scale = np.max(np.abs(samples.g), axis=0)
+    assert np.max(np.abs(ours.real - samples.g) / scale) < 1e-10
+
+
 def test_cross_wronskian_identity(sq41, sq41_states):
     pot, grid = sq41
     wave = physical_wave(pot, 0, np.array([0.9]), grid)

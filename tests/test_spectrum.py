@@ -129,7 +129,7 @@ def test_square_well_spectrum_is_complete(depth, radius):
     oracle = SquareWellOracle(depth, radius)
     expected = oracle.bound_alphas(0)
     pot = make_potential(PotentialSpec("square", depth, radius))
-    states = find_bound_states(pot, 0, h=1 / 256)
+    states = find_bound_states(pot, 0)
     assert len(states) == len(expected)
     for s, a in zip(states, expected):
         assert s.alpha == pytest.approx(a, abs=1e-7)

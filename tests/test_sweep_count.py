@@ -11,12 +11,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import polewave.poletheorem as poletheorem
 import polewave.radial as radial
 from polewave.cli import main
 from polewave.poletheorem import (
     extrapolant_samples,
     extrapolant_samples_near_pole,
     gw_extrapolant,
+    jost_derivative,
     smatrix_residue,
 )
 from polewave.radial import physical_wave
@@ -65,3 +67,31 @@ def test_phases_subcommand_sweeps_once(tmp_path, capsys, sweeps):
     assert main(["phases", "--potential", str(spec), "--ksteps", "5", "--rmax", "12"]) == 0
     capsys.readouterr()
     assert list(sweeps.values()) == [1]
+
+
+def test_jost_derivative_sweeps_once(sq41, sq41_states, sweeps):
+    """Both step sizes' stencils share one sweep of 8 momenta."""
+    pot, grid = sq41
+    jost_derivative(pot, 0, 1j * sq41_states[0].alpha, grid)
+    assert sum(sweeps.values()) == 1
+
+
+@pytest.mark.parametrize("mode", ["near", "real"])
+def test_gw_compare_sweeps_once(mode, tmp_path, capsys, monkeypatch, sweeps):
+    """gw-compare sweeps its momenta once and probes the branch once:
+    the universal form comes from the sweep of the derivative form."""
+    probes = []
+    original = poletheorem.pole_branch_sign
+
+    def counted(*args):
+        probes.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(poletheorem, "pole_branch_sign", counted)
+    spec = tmp_path / "square.json"
+    spec.write_text(json.dumps({"kind": "square", "depth": 4.0, "radius": 1.0}))
+    argv = ["gw-compare", "--potential", str(spec), "--rmax", "12", "--sample-mode", mode]
+    assert main(argv + ["--ksteps", "5"]) == 0
+    capsys.readouterr()
+    assert max(sweeps.values()) == 1, sorted(sweeps.values())
+    assert len(probes) == 1
