@@ -62,8 +62,8 @@ from .poletheorem import (
     _sample_window,
     extrapolate_to_pole,
 )
-from .radial import _sweep_regular, solve_jost_reduced, solve_regular
-from .spectrum import _bisect, _scan_roots, decay_tail_integral
+from .radial import _sweep_jost, _sweep_regular, solve_jost_reduced, solve_regular
+from .spectrum import _regula_falsi, _scan_roots, decay_tail_integral
 
 _PARITIES = ("even", "odd")
 
@@ -158,11 +158,10 @@ def solve_parity(p: Potential1D, parity: str, k, grid: Grid | None = None) -> Pa
 
 
 def _origin_jost(p: Potential1D, k, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """f(k, 0) and f'(k, 0) of the half-line Jost solution."""
-    sol = solve_jost_reduced(p.half, 0, k, grid)
-    f0 = sol.values[0]
-    fp0 = ig.deriv_forward(sol.values, 0, grid.h)
-    return f0, fp0
+    """f(k, 0) and f'(k, 0) of the half-line Jost solution, from its
+    values on nodes 0..4, the forward stencil at the origin."""
+    vals = _sweep_jost(p.half, 0, k, grid, 0, 4)
+    return vals[0], ig.deriv_forward(vals, 0, grid.h)
 
 
 def smatrix_1d(p: Potential1D, parity: str, k, grid: Grid | None = None) -> np.ndarray:
@@ -221,7 +220,7 @@ def find_bound_1d(
 ) -> list[BoundState1D]:
     """All bound states of one parity, deepest first.
 
-    Scans the parity condition along the imaginary axis and bisects
+    Scans the parity condition along the imaginary axis and refines
     each sign change, with the root finder of the radial bound-state
     search.
     """
@@ -434,7 +433,7 @@ def zero_energy_phase(p: Potential1D, grid: Grid | None = None) -> ZeroEnergyPha
     # at (or crossing) threshold makes it vanish there
     c_zero = c[0] - k_lo * (c[1] - c[0]) / (k_hi - k_lo)
     if c[0] * c[1] < 0.0:
-        threshold = float(_bisect(even, [k_lo], [k_hi], [c[0]])[0])
+        threshold = float(_regula_falsi(even, [k_lo], [k_hi], [c[0]], [c[1]])[0])
     elif abs(c_zero) < 1e-3 * max(abs(c[0]), abs(c[1])):
         threshold = 0.0
     ks = np.array([0.02, 0.04, 0.06]) / scale

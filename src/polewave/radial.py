@@ -146,21 +146,30 @@ def _origin_series(potential: Potential, l: int, k2):
     return series
 
 
-def _sweep_regular(potential: Potential, l: int, k, grid: Grid) -> np.ndarray:
-    """Values of the regular solution for l >= -1, shape (nodes, nk).
+def _sweep_regular(
+    potential: Potential, l: int, k, grid: Grid, top: int | None = None
+) -> np.ndarray:
+    """Values of the regular solution for l >= -1 on nodes 0..top
+    (default the whole grid), shape (top + 1, nk).
 
     The first two nodes come from the origin series, the origin itself
-    included at l = -1 where the solution does not vanish there.
+    included at l = -1 where the solution does not vanish there. Numerov
+    is a forward recurrence, so stopping at top leaves every value it
+    does compute bit-identical to the full sweep.
     """
     k = _momenta(k)
     k2 = k * k
     _check_step(potential, l, k2, grid)
+    top = grid.n if top is None else top
     h, r = grid.h, grid.r()
     seed = _origin_series(potential, l, k2)
     s = 0 if l < 0 else 1
-    vals = np.empty((grid.n + 1, k.size), dtype=complex)
+    vals = np.empty((top + 1, k.size), dtype=complex)
     vals[0] = 0.0
     for i0, i1, fn in _domains(potential, grid):
+        if i0 >= top:
+            break
+        i1 = min(i1, top)
         w = _w_block(fn, r[i0 : i1 + 1], l, k2)
         if i0 == 0:
             vals[s] = seed(r[s])
@@ -213,6 +222,26 @@ def solve_jost_reduced(potential: Potential, l: int, k, grid: Grid) -> RadialSol
     For l >= 1 the values stop at the first node and the origin slot is
     set to zero; ft diverges like r^{-l} there and is never needed at
     the origin itself.
+
+    This is the whole grid, for the bound-state wave. The Jost function
+    reads ft only on the five-node Wronskian window and sweeps just
+    that: nothing inward for a cutoff well, half the grid for a tail.
+    """
+    k = _momenta(k)
+    vals = _sweep_jost(potential, l, k, grid, 0, grid.n)
+    return RadialSolution(grid, l, k, vals, "jost-reduced")
+
+
+def _sweep_jost(
+    potential: Potential, l: int, k, grid: Grid, lo: int, hi: int
+) -> np.ndarray:
+    """Values of ft_l on nodes lo..hi, shape (hi - lo + 1, nk).
+
+    The inward sweep stops at lo, and beyond a cutoff the free solution
+    is filled in only on the window and at the cutoff node that seeds
+    the sweep inward. The values are bit-identical to the same nodes of
+    the full sweep: Numerov is a recurrence along the sweep, and the
+    free solution and w are evaluated node by node.
     """
     if l < 0:
         raise SpecError("l must be a non-negative integer")
@@ -224,7 +253,6 @@ def solve_jost_reduced(potential: Potential, l: int, k, grid: Grid) -> RadialSol
     h, r = grid.h, grid.r()
     im_min = float(np.min(k.imag))
     im_max = float(np.max(np.abs(k.imag)))
-    vals = np.empty((grid.n + 1, k.size), dtype=complex)
     doms = _domains(potential, grid)
 
     if potential.cutoff is not None:
@@ -252,55 +280,54 @@ def solve_jost_reduced(potential: Potential, l: int, k, grid: Grid) -> RadialSol
     # seed rounding can be amplified by exp(2 |Im k| r_cut) by the time
     # the sweep reaches the origin. (Outside a decaying tail the sweep
     # only ever amplifies the component it is following, which is safe.)
-    if im_max > 0 and potential.cutoff is not None and m > 0:
+    if im_max > 0 and potential.cutoff is not None and lo < m:
         factor = math.exp(2.0 * im_max * r[m])
         if factor > _CONDITION_LIMIT:
             warnings.warn(
                 f"inward sweep from r = {r[m]:g} amplifies seed rounding by "
                 f"exp(2 |Im k| r) = {factor:.2e}",
                 ConditioningWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
-    stop = 1 if l >= 1 else 0
+    # vals[j] holds node lo + j; the sweep starts at node m
+    top = max(hi, m)
+    vals = np.empty((top - lo + 1, k.size), dtype=complex)
+    stop = max(lo, 1 if l >= 1 else 0)
     if potential.cutoff is None:
         # single smooth domain; seed the top two nodes with the free
         # asymptote (error of order the tail integral beyond r_max)
         if len(doms) != 1:
             raise GridError("a potential without a cutoff must be a single smooth piece")
-        i0, i1, fn = doms[0]
-        vals[i1 - 1 :] = _free_reduced(l, k, r[i1 - 1 :])
-        w = _w_block(fn, r[i0 : i1 + 1], l, k2)
-        w_rev = w[stop - i0 :][::-1]
-        swept = ig.numerov(vals[i1], vals[i1 - 1], w_rev, h)
-        vals[stop : i1 + 1] = swept[::-1]
-        if l >= 1:
-            vals[0] = 0.0
+        _, i1, fn = doms[0]
+        vals[i1 - 1 - lo :] = _free_reduced(l, k, r[i1 - 1 :])
+        w_rev = _w_block(fn, r[stop : i1 + 1], l, k2)[::-1]
+        vals[stop - lo :] = ig.numerov(vals[-1], vals[-2], w_rev, h)[::-1]
     else:
         # exact free region beyond the cutoff
-        vals[max(m, 1) :] = _free_reduced(l, k, r[max(m, 1) :])
-        if m == 0:
+        free = max(m, 1, lo)
+        vals[free - lo :] = _free_reduced(l, k, r[free : top + 1])
+        if m == 0 and lo == 0:
             vals[0] = 1.0 if l == 0 else 0.0
-        inner = [d for d in doms if d[1] <= m]
+        inner = [d for d in doms if lo < d[1] <= m]
         analytic_edge = True
         for i0, i1, fn in reversed(inner):
             if analytic_edge:
                 du = _free_reduced_d(l, k, r[i1])
                 analytic_edge = False
             else:
-                du = ig.deriv_forward(vals, i1, h)
+                du = ig.deriv_forward(vals, i1 - lo, h)
             w0, w1, w2 = _sided_w(potential, l, r[i1], -1, k2)
-            vals[i1 - 1] = ig.taylor_step(vals[i1], du, -h, w0, w1, w2)
-            lo = max(i0, stop)
-            w = _w_block(fn, r[i0 : i1 + 1], l, k2)
-            w_rev = w[lo - i0 :][::-1]
-            swept = ig.numerov(vals[i1], vals[i1 - 1], w_rev, h)
-            vals[lo : i1 + 1] = swept[::-1]
-        if l >= 1:
-            vals[0] = 0.0
+            vals[i1 - 1 - lo] = ig.taylor_step(vals[i1 - lo], du, -h, w0, w1, w2)
+            i_lo = max(i0, stop)
+            w_rev = _w_block(fn, r[i_lo : i1 + 1], l, k2)[::-1]
+            swept = ig.numerov(vals[i1 - lo], vals[i1 - 1 - lo], w_rev, h)
+            vals[i_lo - lo : i1 + 1 - lo] = swept[::-1]
+    if l >= 1 and lo == 0:
+        vals[0] = 0.0
     if not np.all(np.isfinite(vals)):
         raise NumericalError("Jost solution overflowed; momenta too deep for this grid")
-    return RadialSolution(grid, l, k, vals, "jost-reduced")
+    return vals[: hi - lo + 1]
 
 
 def wronskian(a: np.ndarray, b: np.ndarray, i: int, h: float) -> np.ndarray:
@@ -329,11 +356,18 @@ def jost_function(
     F is normalized to 1 at vanishing potential; F(-k*) = F(k)* holds
     by construction and bound states sit at the zeros on the positive
     imaginary axis.
+
+    Both sweeps stop at the five-node Wronskian window around
+    _wronskian_node: phi is swept out to its top, ft is the free
+    solution there for a cutoff well and swept in from r_max to its
+    bottom for a tail. The values are bit-identical to the Wronskian of
+    the full-grid solve_regular and solve_jost_reduced.
     """
     if grid is None:
         grid = make_grid(potential)
     k = _momenta(k)
-    return _jost_from_regular(potential, l, k, grid, solve_regular(potential, l, k, grid).values)
+    phi = _sweep_regular(potential, l, k, grid, _wronskian_node(potential, grid) + 2)
+    return _jost_from_regular(potential, l, k, grid, phi)
 
 
 def _jost_from_regular(
@@ -341,11 +375,13 @@ def _jost_from_regular(
 ) -> np.ndarray:
     """F_l(k) from regular-solution values phi already swept at momenta
     with the same k^2, so phi swept at k serves F(-k) as well: phi
-    depends on k only through k^2, and (-k)^2 equals k^2 exactly."""
+    depends on k only through k^2, and (-k)^2 equals k^2 exactly. phi
+    must reach the top of the Wronskian window, the only nodes of ft
+    computed."""
     k = _momenta(k)
-    ft = solve_jost_reduced(potential, l, k, grid)
-    w = wronskian(ft.values, phi, _wronskian_node(potential, grid), grid.h)
-    return (-1j * k) ** l * w
+    i = _wronskian_node(potential, grid)
+    ft = _sweep_jost(potential, l, k, grid, i - 2, i + 2)
+    return (-1j * k) ** l * wronskian(ft, phi[i - 2 : i + 3], 2, grid.h)
 
 
 def regular_and_jost(
@@ -432,5 +468,6 @@ def physical_wave(
         raise SpecError("physical_wave is defined for real k > 0")
     phi = solve_regular(potential, l, k, grid).values
     fvals = _jost_from_regular(potential, l, k, grid, phi)
-    v = (k**l)[None, :] * phi.real / np.abs(fvals)[None, :]
+    v = (k**l)[None, :] * phi.real
+    v /= np.abs(fvals)[None, :]  # in place: one wave-sized array, not two
     return PhysicalWave(grid, l, k, v, fvals, -np.angle(fvals))

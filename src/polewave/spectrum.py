@@ -2,8 +2,9 @@
 
 A bound state of angular momentum l sits at k = i alpha where the Jost
 function F_l(i alpha) vanishes. Along the imaginary axis our F is exactly
-real (see radial), so the search is a sign-change scan plus bisection,
-batched over candidates so the grid solves stay vectorized.
+real (see radial), so the search is a sign-change scan plus a bracketed
+Illinois regula falsi with a bisection safeguard, batched over
+candidates so the grid solves stay vectorized.
 
 The bound radial function is the reduced Jost solution itself,
 u propto ft_l(i alpha, r), which decays like exp(-alpha r) with unit
@@ -24,8 +25,14 @@ from .errors import NoBoundStateError, NumericalError, SpecError
 from .potentials import Grid, Potential, make_grid
 from .radial import _origin_series, jost_on_imaginary_axis, solve_jost_reduced
 
-_BISECT_ITERS = 44
 _N_SCAN = 200
+
+#: relative bracket width at which root refinement stops. The bound-state
+#: conditions are rounding noise within about 1e-11 of a root (the line
+#: conditions on square (4, 1)); a tighter stop buys steps in the noise.
+_ROOT_RTOL = 2e-12
+#: cap on refinement steps; a bracket halves at least every third step
+_MAX_STEPS = 150
 
 
 @dataclass
@@ -74,28 +81,70 @@ def decay_tail_integral(l: int, alpha: float, radius: float) -> float:
     return float(val)
 
 
-def _bisect(condition, lo, hi, flo) -> np.ndarray:
-    """Midpoints of the brackets [lo, hi] of a real condition after
-    _BISECT_ITERS halvings, all brackets in one batch; flo holds the
-    condition at lo. A bracket with lo == hi is an exact root and stays."""
-    lo, hi, flo = np.asarray(lo), np.asarray(hi), np.asarray(flo)
-    live = lo < hi
-    for _ in range(_BISECT_ITERS):
+def _regula_falsi(condition, lo, hi, flo, fhi) -> np.ndarray:
+    """Zeros of a real condition in the brackets [lo, hi], all brackets
+    in one batch; flo and fhi hold the condition at the ends, of
+    opposite signs. A bracket with an exact zero at an end (lo == hi
+    included) is a root and stays.
+
+    Each step evaluates the false-position point of every live bracket
+    and keeps the sign change. When a secant step keeps the same end as
+    the secant step before it, that end's value is scaled down
+    (Illinois, with the Anderson-Bjorck factor), so the bracket closes
+    from both sides instead of creeping in from one. Whenever two steps
+    have not halved a bracket the next one bisects it. No step is
+    shorter than 0.9 times the stopping width, so near the root, where
+    the condition is rounding noise, one step across it closes the
+    bracket. A bracket stops at an exact zero or once its width is
+    within _ROOT_RTOL of its ends; the end with the smaller condition
+    is returned.
+    """
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    fa, fb = np.array(flo, dtype=float), np.array(fhi, dtype=float)
+    a = np.where(fb == 0, b, a)
+    b = np.where(fa == 0, a, b)
+    ga, gb = np.abs(fa), np.abs(fb)  # |condition| at the ends, unscaled
+    kept = np.zeros(a.shape, dtype=int)  # end kept by the last secant step: -1 a, +1 b
+    ref = b - a  # width at the last halving
+    slow = np.zeros(a.shape, dtype=int)  # steps since then
+    for _ in range(_MAX_STEPS):
+        tol = _ROOT_RTOL * np.maximum(np.abs(a), np.abs(b))
+        live = b - a > tol
         if not live.any():
             break
-        mid = 0.5 * (lo + hi)
-        fm = np.zeros_like(mid)
-        fm[live] = condition(mid[live])
-        same = np.sign(fm) == np.sign(flo)
-        lo = np.where(live & same, mid, lo)
-        flo = np.where(live & same, fm, flo)
-        hi = np.where(live & ~same, mid, hi)
-    return 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.clip(b - fb * (b - a) / (fb - fa), a + 0.9 * tol, b - 0.9 * tol)
+        bisect = (slow >= 2) | ~(a < x) | ~(x < b)
+        x = np.where(bisect, 0.5 * (a + b), x)
+        fx = np.zeros_like(x)
+        fx[live] = condition(x[live])
+        root = live & (fx == 0)
+        to_a = live & ~root & (np.sign(fx) == np.sign(fa))
+        to_b = live & ~root & ~to_a
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fb = np.where(to_a & (kept == 1), _ab_factor(fx, fa) * fb, fb)
+            fa = np.where(to_b & (kept == -1), _ab_factor(fx, fb) * fa, fa)
+        a, fa = np.where(to_a | root, x, a), np.where(to_a, fx, fa)
+        b, fb = np.where(to_b | root, x, b), np.where(to_b, fx, fb)
+        ga = np.where(to_a | root, np.abs(fx), ga)
+        gb = np.where(to_b | root, np.abs(fx), gb)
+        kept = np.where(bisect, kept, np.where(to_a, 1, np.where(to_b, -1, kept)))
+        halved = b - a <= 0.5 * ref
+        ref = np.where(halved, b - a, ref)
+        slow = np.where(halved, 0, slow + live)
+    return np.where(ga <= gb, a, b)
+
+
+def _ab_factor(f_new, f_old):
+    """Anderson-Bjorck scale 1 - f_new / f_old for the kept end, where
+    f_new replaced f_old; 1/2 (Illinois) where that is not positive."""
+    m = 1.0 - f_new / f_old
+    return np.where(m > 0, m, 0.5)
 
 
 def _scan_roots(potential: Potential, grid: Grid, condition) -> list[float]:
     """Zeros of a real bound-state condition of kappa on (0, sqrt(-min U)],
-    deepest first: a sign scan on _N_SCAN points, then bisection of
+    deepest first: a sign scan on _N_SCAN points, then _regula_falsi on
     every sign change."""
     umin = float(np.min(potential(grid.r())))
     if umin >= 0.0:
@@ -115,19 +164,13 @@ def _scan_roots(potential: Potential, grid: Grid, condition) -> list[float]:
     if abs(fv[-1]) < 1e-9 * scale or abs(fv[0]) < 1e-9 * scale:
         ks, fv = scan(lo * 0.5, amax * 1.01)
 
-    left, right, fleft = [], [], []
-    for i in range(_N_SCAN - 1):
-        if fv[i] == 0.0:
-            left.append(ks[i])
-            right.append(ks[i])
-            fleft.append(0.0)
-        elif fv[i] * fv[i + 1] < 0.0:
-            left.append(ks[i])
-            right.append(ks[i + 1])
-            fleft.append(fv[i])
-    if not left:
+    brackets = [
+        i for i in range(_N_SCAN - 1) if fv[i] == 0.0 or fv[i] * fv[i + 1] < 0.0
+    ]
+    if not brackets:
         return []
-    roots = _bisect(condition, left, right, fleft)
+    i = np.array(brackets)
+    roots = _regula_falsi(condition, ks[i], ks[i + 1], fv[i], fv[i + 1])
     return sorted((float(x) for x in roots), reverse=True)
 
 

@@ -15,6 +15,9 @@ from polewave.analytic import (
 from polewave.errors import NoBoundStateError, NumericalError, SpecError
 from polewave.potentials import Free, PotentialSpec, make_grid, make_potential
 from polewave.spectrum import (
+    _MAX_STEPS,
+    _ROOT_RTOL,
+    _regula_falsi,
     asymptotic_coefficient,
     build_bound_state,
     decay_tail_integral,
@@ -147,3 +150,72 @@ def test_step_halving_converges_at_fourth_order(sq41, sq41_oracle):
         err[h] = np.array([abs(s.alpha - a), abs(s.asymptotic_norm - n)])
     factors = err[1 / 32] / err[1 / 64]
     assert np.all(factors >= 8.0), f"halving factors (alpha, N): {factors}"
+
+
+class _Counted:
+    """A batched condition that records the points of every call."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = []
+
+    def __call__(self, x):
+        self.calls.append(np.array(x))
+        return self.fn(np.asarray(x))
+
+
+def test_regula_falsi_refines_a_batch_of_brackets():
+    """Three zeros of cos in one batch, each to the relative tolerance,
+    in a handful of batched calls."""
+    cond = _Counted(np.cos)
+    lo, hi = np.array([1.0, 4.0, 7.0]), np.array([2.0, 5.0, 8.0])
+    roots = _regula_falsi(cond, lo, hi, np.cos(lo), np.cos(hi))
+    exact = np.pi * np.array([0.5, 1.5, 2.5])
+    assert np.all(np.abs(roots - exact) <= _ROOT_RTOL * exact)
+    assert len(cond.calls) <= 8
+    assert all(c.size <= 3 for c in cond.calls)
+
+
+def test_regula_falsi_keeps_exact_roots():
+    """A bracket with lo == hi, or with a zero at either end, is a root
+    and is never evaluated again."""
+    cond = _Counted(lambda x: (x - 1.0) * (x - 2.0) * (x - 4.5))
+    lo = np.array([1.0, 1.5, 2.0, 4.0])
+    hi = np.array([1.0, 2.0, 3.0, 5.0])
+    flo = np.array([0.0, cond.fn(1.5), 0.0, cond.fn(4.0)])
+    fhi = np.array([0.0, 0.0, cond.fn(3.0), cond.fn(5.0)])
+    roots = _regula_falsi(cond, lo, hi, flo, fhi)
+    assert roots[:3].tolist() == [1.0, 2.0, 2.0]
+    assert abs(roots[3] - 4.5) <= _ROOT_RTOL * 4.5
+    assert all(c.size == 1 for c in cond.calls)
+
+
+def test_regula_falsi_root_next_to_a_bracket_end():
+    """A zero 1e-13 inside the upper end, where plain false position
+    creeps in from the far end, and a convex x^10 - 1 that makes it
+    stall."""
+    for fn, lo, hi, root in [
+        (lambda x: x * x - 4.0, 1.0, 2.0 + 1e-13, 2.0),
+        (lambda x: x**10 - 1.0, 0.0, 1.5, 1.0),
+    ]:
+        cond = _Counted(fn)
+        x = _regula_falsi(cond, [lo], [hi], [fn(lo)], [fn(hi)])[0]
+        assert lo <= x <= hi
+        assert abs(x - root) <= _ROOT_RTOL * root
+        assert len(cond.calls) <= 20
+
+
+def test_regula_falsi_terminates_on_a_noise_floor():
+    """A condition whose sign is deterministic noise within 1e-9 of the
+    root: the bracket still closes by bisection, inside the step cap,
+    and the result stays inside the bracket and the noise band."""
+    root = 1.0 / 3.0
+
+    def noisy(x):
+        return (x - root) + 1e-9 * np.sign(np.sin(1e12 * x))
+
+    cond = _Counted(noisy)
+    x = _regula_falsi(cond, [0.2], [0.5], [noisy(0.2)], [noisy(0.5)])[0]
+    assert len(cond.calls) < _MAX_STEPS
+    assert 0.2 <= x <= 0.5
+    assert abs(x - root) <= 2e-9

@@ -27,18 +27,19 @@ from polewave.radial import physical_wave
 @pytest.fixture
 def sweeps(monkeypatch):
     """Regular sweeps per momentum set, keyed by the k^2 values, counted
-    in every polewave module namespace that binds solve_regular."""
+    at _sweep_regular in every polewave module namespace that binds it
+    (radial, whose solve_regular and jost_function call it, and onedim)."""
     counts = Counter()
-    original = radial.solve_regular
+    original = radial._sweep_regular
 
-    def counted(potential, l, k, grid):
+    def counted(potential, l, k, grid, *args):
         k = np.atleast_1d(np.asarray(k, dtype=complex))
         counts[tuple((k * k).tolist())] += 1
-        return original(potential, l, k, grid)
+        return original(potential, l, k, grid, *args)
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("polewave") and getattr(mod, "solve_regular", None) is original:
-            monkeypatch.setattr(mod, "solve_regular", counted)
+        if name.startswith("polewave") and getattr(mod, "_sweep_regular", None) is original:
+            monkeypatch.setattr(mod, "_sweep_regular", counted)
     return counts
 
 
