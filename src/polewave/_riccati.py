@@ -64,6 +64,23 @@ def hhat_plus(l: int, x) -> np.ndarray:
     return _recur_pair(l, x, hhat_plus(0, x), hhat_plus(1, x))[1]
 
 
+def free_decay(l: int, alpha: float, r) -> np.ndarray:
+    """Decaying free solution with unit coefficient, exp(-alpha r) times
+    the exact inverse-power dressing for l > 0.
+
+    This is i^{l+1} hhat_l^+(i alpha r); for l = 0 it is exp(-alpha r)
+    and for l = 1 it is exp(-alpha r) (1 + 1/(alpha r)).
+    """
+    z = 1j * alpha * np.asarray(r, dtype=float)
+    return ((1j) ** (l + 1) * hhat_plus(l, z)).real
+
+
+def free_decay_d(l: int, alpha: float, r) -> np.ndarray:
+    """d/dr of free_decay."""
+    z = 1j * alpha * np.asarray(r, dtype=float)
+    return ((1j) ** (l + 1) * 1j * alpha * hhat_plus_d(l, z)).real
+
+
 def _recur_pair(l: int, x, z0, z1):
     """Return (z_{l-1}, z_l) by upward recurrence from (z_0, z_1)."""
     for m in range(1, l):

@@ -13,29 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import gamma, jv
 
-from ._riccati import hhat_plus, hhat_plus_d, jhat, jhat_d, yhat
+# free_decay and free_decay_d live with the solver, which must not load
+# this module; they are re-exported here with the other closed forms
+from ._riccati import free_decay, free_decay_d, hhat_plus, hhat_plus_d, jhat, jhat_d, yhat
 from .errors import NoBoundStateError, SpecError
-
-
-def free_decay(l: int, alpha: float, r) -> np.ndarray:
-    """Decaying free solution with unit coefficient, exp(-alpha r) times
-    the exact inverse-power dressing for l > 0.
-
-    This is i^{l+1} hhat_l^+(i alpha r); for l = 0 it is exp(-alpha r)
-    and for l = 1 it is exp(-alpha r) (1 + 1/(alpha r)).
-    """
-    z = 1j * alpha * np.asarray(r, dtype=float)
-    return ((1j) ** (l + 1) * hhat_plus(l, z)).real
-
-
-def free_decay_d(l: int, alpha: float, r) -> np.ndarray:
-    """d/dr of free_decay."""
-    z = 1j * alpha * np.asarray(r, dtype=float)
-    return ((1j) ** (l + 1) * 1j * alpha * hhat_plus_d(l, z)).real
 
 
 def _brackets(fn, lo: float, hi: float, n: int = 2000):
@@ -106,6 +88,8 @@ class SquareWellOracle:
 
     def bound_alphas(self, l: int) -> list[float]:
         """All bound-state alphas, deepest first."""
+        from scipy.optimize import brentq
+
         top = math.sqrt(self.depth) if self.depth > 0 else 0.0
         if top <= 0:
             return []
@@ -131,6 +115,8 @@ class SquareWellOracle:
             inner = a_in**2 * (a / 2.0 - math.sin(2.0 * bigk * a) / (4.0 * bigk))
             outer = math.exp(-2.0 * alpha * a) / (2.0 * alpha)
         else:
+            from scipy.integrate import quad
+
             inner = quad(lambda r: (a_in * jhat(l, bigk * r).real) ** 2, 0.0, a)[0]
             outer = quad(lambda r: free_decay(l, alpha, r) ** 2, a, 60.0 / alpha)[0]
         return 1.0 / math.sqrt(inner + outer)
@@ -173,6 +159,9 @@ def exp_well_bound_alpha(depth: float, radius: float) -> float:
     closed form: the bound state is J_nu(2 a sqrt(U0) e^{-r/2a}) with
     nu = 2 a alpha, and regularity at r = 0 pins J_nu(2 a sqrt(U0)) = 0.
     """
+    from scipy.optimize import brentq
+    from scipy.special import jv
+
     z0 = 2.0 * radius * math.sqrt(depth)
     fn = lambda nu: jv(nu, z0)
     brackets = _brackets(fn, 1e-6, z0, 4000)
@@ -187,6 +176,8 @@ def exp_well_bound_alpha(depth: float, radius: float) -> float:
 def exp_well_bound_u(depth: float, radius: float, alpha: float, r) -> np.ndarray:
     """Unnormalized exponential-well bound state J_nu(z(r)), scaled to
     unit asymptotic coefficient so it tends to exp(-alpha r)."""
+    from scipy.special import gamma, jv
+
     r = np.asarray(r, dtype=float)
     nu = 2.0 * radius * alpha
     z = 2.0 * radius * math.sqrt(depth) * np.exp(-r / (2.0 * radius))

@@ -45,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import _integrate as ig
 from .errors import NoBoundStateError, NumericalError, SpecError
@@ -251,7 +250,7 @@ def build_bound_1d(p: Potential1D, parity: str, alpha: float, grid: Grid) -> Bou
             f"alpha = {alpha:.12g} does not satisfy the {parity} boundary "
             "condition at x = 0; it is not a bound state of this parity"
         )
-    body = float(simpson(u**2, x=grid.r()))
+    body = float(ig.simpson(u**2, grid.h))
     tail = decay_tail_integral(0, alpha, grid.r_max)
     n_const = 1.0 / math.sqrt(2.0 * (body + tail))
     return BoundState1D(grid, parity, alpha, u, n_const)

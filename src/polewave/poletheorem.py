@@ -50,7 +50,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import _integrate as ig
 from .errors import ExtrapolationWarning, NumericalError, SpecError
@@ -476,6 +475,26 @@ class JostDerivative:
     error: float
 
 
+def _stencil_derivatives(
+    potential: Potential, l: int, k, grid: Grid, fractions: tuple[float, ...]
+) -> np.ndarray:
+    """dF_l/dk at every momentum of k by five-point differencing along
+    the axis each momentum lies on, with steps fractions x _REL_STEP |k|;
+    row i of the result holds the step fractions[i]. Every stencil goes
+    through one jost_function call; the columns of a batch do not
+    interact, so each difference is what a sweep of its own would give."""
+    k = np.atleast_1d(np.asarray(k, dtype=complex))
+    if np.any(k == 0):
+        raise SpecError("the Jost derivative needs k != 0")
+    direction = np.where(np.abs(k.real) < 1e-12 * np.abs(k), 1j, 1.0)
+    steps = direction * (_REL_STEP * np.abs(k)) * np.array(fractions)[:, None]
+    stencil = np.array([-2.0, -1.0, 1.0, 2.0])
+    weights = np.array([1.0, -8.0, 8.0, -1.0])
+    ks = k[:, None] + steps[..., None] * stencil
+    f = jost_function(potential, l, ks.ravel(), grid).reshape(ks.shape)
+    return (f * weights).sum(axis=-1) / (12.0 * steps)
+
+
 def jost_derivative(
     potential: Potential,
     l: int,
@@ -483,24 +502,10 @@ def jost_derivative(
     grid: Grid,
 ) -> JostDerivative:
     """dF_l/dk at k0 by five-point differencing along the axis k0 lies
-    on, with step halving for an error estimate. Both stencils go
-    through one sweep of 8 momenta; the columns of a batch do not
-    interact, so each difference is what a sweep of its own would give."""
-    k0 = complex(k0)
-    if k0 == 0:
-        raise SpecError("jost_derivative needs k0 != 0")
-    direction = 1j if abs(k0.real) < 1e-12 * abs(k0) else 1.0
-    s = _REL_STEP * abs(k0)
-    steps = (s / 2.0, s)
-    stencil = np.array([-2.0, -1.0, 1.0, 2.0])
-    weights = np.array([1.0, -8.0, 8.0, -1.0])
-    ks = np.concatenate([k0 + direction * step * stencil for step in steps])
-    f = jost_function(potential, l, ks, grid)
-    d_half, d_full = (
-        complex((f[4 * i : 4 * i + 4] * weights).sum() / (12.0 * step * direction))
-        for i, step in enumerate(steps)
-    )
-    return JostDerivative(d_half, abs(d_half - d_full) / 15.0)
+    on, with step halving for an error estimate; both stencils share one
+    sweep of 8 momenta."""
+    d_half, d_full = _stencil_derivatives(potential, l, k0, grid, (0.5, 1.0))[:, 0]
+    return JostDerivative(complex(d_half), float(abs(d_half - d_full) / 15.0))
 
 
 @dataclass
@@ -533,10 +538,10 @@ def gw_extrapolant(
     on the real or the imaginary axis, both on the branch of the g
     samples, so both aim at -u_alpha and their deviations can be
     compared head to head. One regular sweep serves the wave, F(k) and
-    F(-k); F' costs one more sweep per momentum."""
+    F(-k); one more, of the stencils of every momentum, serves F'."""
     k = np.atleast_1d(np.asarray(k, dtype=complex))
     phi, f, f_dn = regular_and_jost(potential, 0, k, grid)
-    fdot = np.array([jost_derivative(potential, 0, kk, grid).value for kk in k])
+    fdot = _stencil_derivatives(potential, 0, k, grid, (0.5,))[0]
     pref = np.sqrt(4j * alpha**2 * f / fdot)
     # the wave normalization |F| continues off the real axis as
     # sqrt(F(k) F(-k)), which vanishes with F at the pole and keeps the
@@ -579,6 +584,6 @@ def wronskian_identity(
     du = float(ig.deriv_central(u, i, g.h))
     dv = float(ig.deriv_central(v, i, g.h))
     lhs = du * v[i] - u[i] * dv
-    rhs = (state.alpha**2 + k**2) * float(simpson(u[: i + 1] * v[: i + 1], x=r[: i + 1]))
+    rhs = (state.alpha**2 + k**2) * float(ig.simpson(u[: i + 1] * v[: i + 1], g.h))
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
     return WronskianIdentity(r[i], lhs, rhs, residual)

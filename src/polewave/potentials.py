@@ -20,10 +20,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import PchipInterpolator
-from scipy.special import erfc
 
+from . import _integrate as ig
 from .errors import GridError, SpecError
 
 KINDS = ("free", "square", "exponential", "gaussian", "table")
@@ -191,7 +189,8 @@ class GaussianWell(Potential):
         return (u, up, upp)
 
     def tail_integral(self, radius):
-        return abs(self.depth) * self.radius * math.sqrt(math.pi) / 2.0 * erfc(radius / self.radius)
+        scale = abs(self.depth) * self.radius * math.sqrt(math.pi) / 2.0
+        return scale * math.erfc(radius / self.radius)
 
 
 class Tabulated(Potential):
@@ -203,6 +202,8 @@ class Tabulated(Potential):
     """
 
     def __init__(self, r: np.ndarray, u: np.ndarray):
+        from scipy.interpolate import PchipInterpolator
+
         r = np.asarray(r, dtype=float)
         u = np.asarray(u, dtype=float)
         if r.ndim != 1 or r.shape != u.shape or r.size < 4:
@@ -305,7 +306,7 @@ def check_integrability(potential: Potential, r_max: float | None = None) -> flo
     u = potential(r)
     if not np.all(np.isfinite(u)):
         raise SpecError("potential is not finite on (0, r_max)")
-    moment = float(simpson(r * np.abs(u), x=r))
+    moment = float(ig.simpson(r * np.abs(u), r_max / 4000))
     if not math.isfinite(moment):
         raise SpecError("integral of r |U| diverges")
     tail = potential.tail_integral(r_max)

@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, simpson
 
-from .analytic import free_decay
+from . import _integrate as ig
+from ._riccati import free_decay, free_decay_d
 from .errors import NoBoundStateError, NumericalError, SpecError
 from .potentials import Grid, Potential, make_grid
 from .radial import _origin_series, jost_on_imaginary_axis, solve_jost_reduced
@@ -68,17 +68,20 @@ def decay_tail_integral(l: int, alpha: float, radius: float) -> float:
 
     For l = 0 this is exp(-2 a R) / 2a; for l = 1 the dressing term
     integrates in closed form as well (the exponential-integral pieces
-    cancel); higher l falls back to quadrature.
+    cancel). At any l, d/dr W(f_a, f_b) = (a^2 - b^2) f_a f_b makes the
+    integral the Wronskian of f and df/dalpha at R; with z = alpha R and
+    F = free_decay(l, 1, z), F'' = (l(l+1)/z^2 + 1) F, that is
+    -[F F' + z (F F'' - F'^2)] / 2 alpha.
     """
     x = 2.0 * alpha * radius
     if l == 0:
         return math.exp(-x) / (2.0 * alpha)
     if l == 1:
         return math.exp(-x) * (1.0 / (2.0 * alpha) + 1.0 / (alpha**2 * radius))
-    val, _ = quad(
-        lambda rr: free_decay(l, alpha, rr) ** 2, radius, radius + 60.0 / alpha
-    )
-    return float(val)
+    z = alpha * radius
+    f, fd = float(free_decay(l, 1.0, z)), float(free_decay_d(l, 1.0, z))
+    fdd = (l * (l + 1) / z**2 + 1.0) * f
+    return -(f * fd + z * (f * fdd - fd * fd)) / (2.0 * alpha)
 
 
 def _regula_falsi(condition, lo, hi, flo, fhi) -> np.ndarray:
@@ -241,8 +244,7 @@ def build_bound_state(
     sol = solve_jost_reduced(potential, l, 1j * alpha, grid)
     vals = sol.values[:, 0].real
     _check_regular_at_origin(potential, l, alpha, grid, vals)
-    r = grid.r()
-    body = float(simpson(vals**2, x=r))
+    body = float(ig.simpson(vals**2, grid.h))
     tail = decay_tail_integral(l, alpha, grid.r_max)
     norm = 1.0 / math.sqrt(body + tail)
     return BoundState(grid=grid, l=l, alpha=alpha, u=norm * vals, asymptotic_norm=norm)

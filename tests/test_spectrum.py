@@ -108,7 +108,8 @@ def test_tail_reference_matches_the_state(sq41_states):
 
 
 def test_decay_tail_integral_closed_forms():
-    for l, alpha, radius in [(0, 0.7, 5.0), (1, 1.2, 7.0), (2, 0.9, 6.0)]:
+    cases = [(0, 0.7, 5.0), (1, 1.2, 7.0), (2, 0.9, 6.0), (3, 0.4, 3.0), (4, 1.5, 2.0)]
+    for l, alpha, radius in cases:
         ref = quad(
             lambda r: free_decay(l, alpha, r) ** 2, radius, radius + 80.0 / alpha
         )[0]

@@ -21,7 +21,8 @@ from polewave.poletheorem import (
     jost_derivative,
     smatrix_residue,
 )
-from polewave.radial import physical_wave
+from polewave.radial import physical_wave, regular_and_jost
+from polewave.spectrum import ground_state
 
 
 @pytest.fixture
@@ -96,3 +97,26 @@ def test_gw_compare_sweeps_once(mode, tmp_path, capsys, monkeypatch, sweeps):
     capsys.readouterr()
     assert max(sweeps.values()) == 1, sorted(sweeps.values())
     assert len(probes) == 1
+
+
+@pytest.mark.parametrize("nk", [1, 5, 30])
+def test_gw_extrapolant_sweeps_three_sets(nk, sq41, sq41_states, sweeps):
+    """The wave and F take one sweep, the branch probe one, and the
+    derivative stencils of all nk momenta one more, whatever nk is."""
+    pot, grid = sq41
+    gw_extrapolant(pot, sq41_states[0].alpha, np.linspace(0.2, 2.5, nk), grid)
+    assert len(sweeps) == 3 and sum(sweeps.values()) == 3, sorted(sweeps.values())
+
+
+@pytest.mark.parametrize("well", ["sq41", "gauss41"])
+@pytest.mark.parametrize("axis", ["real", "imaginary"])
+def test_gw_prefactor_is_the_per_momentum_form(well, axis, request):
+    """Batching the stencils changes no bit of the prefactor
+    sqrt(4 i alpha^2 F(k) / F'(k)) against one jost_derivative per k."""
+    pot, grid = request.getfixturevalue(well)
+    alpha = ground_state(pot, 0, grid).alpha
+    k = np.linspace(0.2, 2.5, 5) if axis == "real" else 1j * alpha * np.linspace(0.5, 0.95, 5)
+    gw = gw_extrapolant(pot, alpha, k, grid)
+    _, f, _ = regular_and_jost(pot, 0, np.asarray(k, dtype=complex), grid)
+    fdot = np.array([jost_derivative(pot, 0, kk, grid).value for kk in k])
+    assert np.array_equal(gw.prefactor, np.sqrt(4j * alpha**2 * f / fdot))
