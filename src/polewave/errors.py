@@ -32,8 +32,8 @@ class NumericalError(PolewaveError, RuntimeError):
 class ConditioningWarning(UserWarning):
     """The computation is well defined but badly conditioned.
 
-    Emitted, for instance, when an inward sweep from the potential cutoff
-    multiplies rounding noise by exp(2 |Im k| r_cut) beyond 1e6.
+    Emitted, for instance, when a momentum with Im k < 0 lets rounding
+    grow by exp(2 |Im k| r_c) beyond 1e6 inside the cutoff node r_c.
     """
 
 

@@ -384,8 +384,8 @@ def pole_residue_1d(
     """Residue of the parity S matrix at k = i alpha, by Richardson
     extrapolation of (k - i alpha) S(k) along the imaginary axis.
 
-    Needs the lower-half-plane Jost data, so a finite-range potential
-    (the radial solver enforces the analyticity strip otherwise)."""
+    Needs the lower-half-plane Jost data, which the radial solver
+    refuses outside the analyticity strip of a decaying tail."""
     _check_parity(parity)
     value, err = _ladder_residue(
         alpha, lambda kappa: (kappa - alpha) * smatrix_1d(p, parity, 1j * kappa, grid).real

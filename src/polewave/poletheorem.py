@@ -234,8 +234,8 @@ def extrapolant_samples_near_pole(
     """Sample g on the imaginary axis at t_j = -alpha^2 (1 - spacing j).
 
     This needs D(t) = F(i kappa) F(-i kappa) with kappa = sqrt(-t), so
-    the potential must either have a hard cutoff or a tail that decays
-    faster than e^{2 kappa r} (the radial solver checks). All samples
+    the tail beyond the solver's cutoff node must decay faster than
+    e^{2 kappa r} (the radial solver checks). All samples
     must land on one side of the nearest zero of D; a mixed-sign window
     means a virtual state or another bound state sits inside it, so
     shrink the window.
@@ -417,20 +417,15 @@ def smatrix_residue(
     """Residue of the S matrix at the bound-state pole k = i alpha.
 
     "imaginary_axis" walks kappa_j = alpha (1 - 2^-j) up to the pole
-    and Richardson-extrapolates (k - i alpha) S(i k); it needs a
-    finite-range potential for the lower-half-plane Jost function.
+    and Richardson-extrapolates (k - i alpha) S(i k); it needs the
+    Jost function at -i kappa, which the radial solver refuses outside
+    the analyticity strip of a decaying tail.
     "real_axis_fit" fits a complex polynomial to (k - i alpha) S(k) on
     scattering momenta [0.1 alpha, 2 alpha] and evaluates it at i alpha;
     it works for any potential but leans on the fit reaching the pole
     inside the region of analyticity.
     """
     if method == "imaginary_axis":
-        if potential.cutoff is None:
-            raise SpecError(
-                "the imaginary-axis residue needs a finite-range potential; "
-                "use method='real_axis_fit' for decaying tails"
-            )
-
         def rho(kappa):
             _, f_up, f_dn = _imaginary_axis_data(potential, l, kappa, grid)
             return (kappa - alpha) * f_dn / f_up

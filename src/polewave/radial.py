@@ -24,6 +24,7 @@ shift on the real axis is delta_l = -arg F_l.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -39,9 +40,9 @@ from .errors import (
     SpecError,
     StepSizeError,
 )
-from .potentials import Grid, Potential, make_grid
+from .potentials import _TAIL_TINY, Grid, Potential, make_grid
 
-#: inward sweeps that amplify seed noise beyond this factor get a warning
+#: momenta whose rounding grows by more than this factor get a warning
 _CONDITION_LIMIT = 1e6
 
 
@@ -211,25 +212,56 @@ def _free_reduced_d(l: int, k: np.ndarray, r0: float) -> np.ndarray:
 def solve_jost_reduced(potential: Potential, l: int, k, grid: Grid) -> RadialSolution:
     """Inward integration of the reduced Jost solution ft_l = (-i)^l f_l.
 
-    For a potential that vanishes identically beyond its cutoff the
-    outer region is filled with the exact free solution and the sweep
-    starts from the cutoff with an analytic derivative, so momenta in
-    the lower half plane are meaningful there. A potential with only a
-    decaying tail is seeded at r_max instead; that admits Im k >= 0
-    always, and Im k < 0 only while exp(2 |Im k| r) times the neglected
-    tail stays negligible (the analyticity strip of the tail).
+    Beyond the cutoff node r_c of _cutoff_node, U counts as zero and ft
+    is the exact free solution; the sweep starts from r_c with an
+    analytic derivative. This holds for every potential, a decaying tail
+    included, so no value depends on r_max. Momenta with Im k < 0 are
+    admitted while the tail neglected beyond r_c, weighted by
+    exp(2 |Im k| (r - r_c)), stays negligible (the analyticity strip of
+    the tail).
 
     For l >= 1 the values stop at the first node and the origin slot is
     set to zero; ft diverges like r^{-l} there and is never needed at
     the origin itself.
 
     This is the whole grid, for the bound-state wave. The Jost function
-    reads ft only on the five-node Wronskian window and sweeps just
-    that: nothing inward for a cutoff well, half the grid for a tail.
+    reads ft only on the five-node Wronskian window beyond r_c, where it
+    is the free solution and nothing is swept.
     """
     k = _momenta(k)
     vals = _sweep_jost(potential, l, k, grid, 0, grid.n)
     return RadialSolution(grid, l, k, vals, "jost-reduced")
+
+
+def _cutoff_node(potential: Potential, grid: Grid) -> int:
+    """The node r_c beyond which U counts as zero: the cutoff of a
+    finite-range potential, else the first node past which the tail
+    integral is at most _TAIL_TINY, at most n - 4 so that the Wronskian
+    window fits on the grid. suggested_rmax uses the same bound, so a
+    default grid reaches past r_c."""
+    if potential.cutoff is not None:
+        return grid.index_of(potential.cutoff)
+    return bisect.bisect_left(
+        range(grid.n - 4),
+        True,
+        key=lambda i: potential.tail_integral(i * grid.h) <= _TAIL_TINY,
+    )
+
+
+def _check_strip(potential: Potential, grid: Grid, m: int, kappa: float) -> None:
+    """Refuse Im k = -kappa < 0 outside the analyticity strip of the
+    tail. The solution growing like e^{kappa r} lifts the tail neglected
+    beyond r_c by up to e^{2 kappa (r - r_c)}; that weighted tail must
+    decay over the grid and stay below 1e-9."""
+    r = np.linspace(m * grid.h, grid.r_max, 33)
+    tail = np.array([potential.tail_integral(x) for x in r])
+    leak = tail * np.exp(np.minimum(2.0 * kappa * (r - r[0]), 700.0))
+    if (leak[-1] > 0.0 and leak[-1] >= leak[0]) or leak.max() > 1e-9:
+        raise SpecError(
+            "momenta with Im k < 0 reach outside this potential's "
+            f"analyticity strip (tail leakage {leak.max():.1e}); only a "
+            "tail decaying faster than exp(2 |Im k| r) admits them"
+        )
 
 
 def _sweep_jost(
@@ -237,10 +269,10 @@ def _sweep_jost(
 ) -> np.ndarray:
     """Values of ft_l on nodes lo..hi, shape (hi - lo + 1, nk).
 
-    The inward sweep stops at lo, and beyond a cutoff the free solution
-    is filled in only on the window and at the cutoff node that seeds
-    the sweep inward. The values are bit-identical to the same nodes of
-    the full sweep: Numerov is a recurrence along the sweep, and the
+    The free solution is filled in beyond the cutoff node r_c only on
+    the window and at r_c, which seeds the sweep inward, and the inward
+    sweep stops at lo. The values are bit-identical to the same nodes
+    of the full sweep: Numerov is a recurrence along the sweep, and the
     free solution and w are evaluated node by node.
     """
     if l < 0:
@@ -251,78 +283,47 @@ def _sweep_jost(
         raise SpecError("k = 0 is not meaningful for the Jost solution with l >= 1")
     _check_step(potential, l, k2, grid)
     h, r = grid.h, grid.r()
+    m = _cutoff_node(potential, grid)
     im_min = float(np.min(k.imag))
-    im_max = float(np.max(np.abs(k.imag)))
-    doms = _domains(potential, grid)
-
-    if potential.cutoff is not None:
-        m = grid.index_of(potential.cutoff)
-    else:
-        if im_min < -1e-12:
-            # Seeding the sweep with the free asymptote at r_max neglects
-            # the tail beyond it, and for Im k < 0 that error rides on the
-            # exponentially growing solution. It stays harmless only while
-            # the tail decays faster than exp(2 |Im k| r), i.e. inside the
-            # analyticity strip of f(-k, r).
-            leak = math.exp(2.0 * abs(im_min) * grid.r_max) * potential.tail_integral(
-                grid.r_max
-            )
-            if leak > 1e-9:
-                raise SpecError(
-                    "momenta with Im k < 0 reach outside this potential's "
-                    f"analyticity strip (tail leakage {leak:.1e}); only a "
-                    "tail decaying faster than exp(2 |Im k| r) can seed the "
-                    "inward sweep"
-                )
-        m = grid.n
-
-    # Inside the potential region the two exponential behaviors mix, so
-    # seed rounding can be amplified by exp(2 |Im k| r_cut) by the time
-    # the sweep reaches the origin. (Outside a decaying tail the sweep
-    # only ever amplifies the component it is following, which is safe.)
-    if im_max > 0 and potential.cutoff is not None and lo < m:
-        factor = math.exp(2.0 * im_max * r[m])
+    if im_min < 0:
+        _check_strip(potential, grid, m, -im_min)
+        # At Im k > 0, ft is the solution that grows inward, which is
+        # stable. At Im k < 0 it decays inward, so inside r_c the
+        # growing solution can lift rounding by exp(2 |Im k| r_c): in
+        # the inward sweep, and in the Wronskian with phi, which grows
+        # outward like it.
+        factor = math.exp(-2.0 * im_min * r[m])
         if factor > _CONDITION_LIMIT:
             warnings.warn(
-                f"inward sweep from r = {r[m]:g} amplifies seed rounding by "
-                f"exp(2 |Im k| r) = {factor:.2e}",
+                f"Im k < 0 inside the cutoff node r = {r[m]:g} amplifies "
+                f"rounding by exp(2 |Im k| r) = {factor:.2e}",
                 ConditioningWarning,
                 stacklevel=3,
             )
 
-    # vals[j] holds node lo + j; the sweep starts at node m
+    # vals[j] holds node lo + j; the exact free region starts at node m
     top = max(hi, m)
     vals = np.empty((top - lo + 1, k.size), dtype=complex)
     stop = max(lo, 1 if l >= 1 else 0)
-    if potential.cutoff is None:
-        # single smooth domain; seed the top two nodes with the free
-        # asymptote (error of order the tail integral beyond r_max)
-        if len(doms) != 1:
-            raise GridError("a potential without a cutoff must be a single smooth piece")
-        _, i1, fn = doms[0]
-        vals[i1 - 1 - lo :] = _free_reduced(l, k, r[i1 - 1 :])
-        w_rev = _w_block(fn, r[stop : i1 + 1], l, k2)[::-1]
-        vals[stop - lo :] = ig.numerov(vals[-1], vals[-2], w_rev, h)[::-1]
-    else:
-        # exact free region beyond the cutoff
-        free = max(m, 1, lo)
-        vals[free - lo :] = _free_reduced(l, k, r[free : top + 1])
-        if m == 0 and lo == 0:
-            vals[0] = 1.0 if l == 0 else 0.0
-        inner = [d for d in doms if lo < d[1] <= m]
-        analytic_edge = True
-        for i0, i1, fn in reversed(inner):
-            if analytic_edge:
-                du = _free_reduced_d(l, k, r[i1])
-                analytic_edge = False
-            else:
-                du = ig.deriv_forward(vals, i1 - lo, h)
-            w0, w1, w2 = _sided_w(potential, l, r[i1], -1, k2)
-            vals[i1 - 1 - lo] = ig.taylor_step(vals[i1 - lo], du, -h, w0, w1, w2)
-            i_lo = max(i0, stop)
-            w_rev = _w_block(fn, r[i_lo : i1 + 1], l, k2)[::-1]
-            swept = ig.numerov(vals[i1 - lo], vals[i1 - 1 - lo], w_rev, h)
-            vals[i_lo - lo : i1 + 1 - lo] = swept[::-1]
+    free = max(m, 1, lo)
+    vals[free - lo :] = _free_reduced(l, k, r[free : top + 1])
+    if m == 0 and lo == 0:
+        vals[0] = 1.0 if l == 0 else 0.0
+    # the smooth pieces inside r_c, the last one clipped there
+    inner = [(i0, min(i1, m), fn) for i0, i1, fn in _domains(potential, grid) if i0 < m]
+    for i0, i1, fn in reversed(inner):
+        if i1 <= lo:
+            break
+        if i1 == m:
+            du = _free_reduced_d(l, k, r[m])
+        else:
+            du = ig.deriv_forward(vals, i1 - lo, h)
+        w0, w1, w2 = _sided_w(potential, l, r[i1], -1, k2)
+        vals[i1 - 1 - lo] = ig.taylor_step(vals[i1 - lo], du, -h, w0, w1, w2)
+        i_lo = max(i0, stop)
+        w_rev = _w_block(fn, r[i_lo : i1 + 1], l, k2)[::-1]
+        swept = ig.numerov(vals[i1 - lo], vals[i1 - 1 - lo], w_rev, h)
+        vals[i_lo - lo : i1 + 1 - lo] = swept[::-1]
     if l >= 1 and lo == 0:
         vals[0] = 0.0
     if not np.all(np.isfinite(vals)):
@@ -338,11 +339,11 @@ def wronskian(a: np.ndarray, b: np.ndarray, i: int, h: float) -> np.ndarray:
 
 
 def _wronskian_node(potential: Potential, grid: Grid) -> int:
-    """A node safely inside one smooth region where both solutions are
-    well scaled: just outside the cutoff if there is one, else midway."""
-    if potential.cutoff is not None and potential.cutoff > 0:
-        return min(grid.index_of(potential.cutoff) + 2, grid.n - 2)
-    return max(2, grid.n // 2)
+    """Two nodes outside the cutoff node, where ft is the free solution
+    and phi is well scaled. A zero-range potential takes the midpoint
+    instead, away from the origin where ft diverges for l >= 1."""
+    m = _cutoff_node(potential, grid)
+    return m + 2 if m > 0 else grid.n // 2
 
 
 def jost_function(
@@ -358,10 +359,10 @@ def jost_function(
     imaginary axis.
 
     Both sweeps stop at the five-node Wronskian window around
-    _wronskian_node: phi is swept out to its top, ft is the free
-    solution there for a cutoff well and swept in from r_max to its
-    bottom for a tail. The values are bit-identical to the Wronskian of
-    the full-grid solve_regular and solve_jost_reduced.
+    _wronskian_node, just outside the cutoff node: phi is swept out to
+    its top, and ft is the free solution there for every potential, so
+    F does not depend on r_max. The values are bit-identical to the
+    Wronskian of the full-grid solve_regular and solve_jost_reduced.
     """
     if grid is None:
         grid = make_grid(potential)
@@ -406,8 +407,9 @@ def jost_on_imaginary_axis(
 ) -> np.ndarray:
     """F_l(i kappa) as an exactly real array.
 
-    kappa > 0 probes bound states, kappa < 0 (finite-range potentials
-    only) probes virtual states. The reduced-solution phases are chosen
+    kappa > 0 probes bound states, kappa < 0 probes virtual states
+    (inside the analyticity strip of a decaying tail). The
+    reduced-solution phases are chosen
     so every intermediate on the imaginary axis is real; the imaginary
     parts discarded here are identically zero, not merely small.
     """

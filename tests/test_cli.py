@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from polewave.cli import main
+from polewave.errors import ConditioningWarning
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,20 @@ def test_residue_both_methods(specs, capsys):
     rel = {r[1]: float(r[6]) for r in rows}
     assert rel["0"] < 1e-6
     assert rel["1"] < 1e-3
+
+
+def test_tail_potential_residues(specs, capsys):
+    """A decaying tail takes the imaginary-axis residue like a cutoff
+    well, radially and on the line."""
+    rc, cap = run(["residue", "--potential", specs["gauss"]], capsys)
+    assert rc == 0
+    assert float(csv_verdicts(cap.out)["max_rel_error_imaginary_axis"]) < 1e-6
+    # the even state's samples reach kappa = 1.54 in the lower half
+    # plane, where e^{2 kappa r_c} at r_c = 5.38 is 1.6e7
+    with pytest.warns(ConditioningWarning):
+        rc, cap = run(["oned", "--potential", specs["gauss"]], capsys)
+    assert rc == 0
+    assert float(csv_verdicts(cap.out)["max_residue_rel_error"]) < 1e-6
 
 
 def test_gw_compare_defaults_to_real_axis(specs, capsys):

@@ -8,12 +8,19 @@ a real regression trips it but grid jitter does not.
 
 import math
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from polewave.analytic import SquareWellOracle
-from polewave.errors import ExtrapolationWarning, NumericalError, SpecError
+from polewave.errors import (
+    ConditioningWarning,
+    ExtrapolationWarning,
+    NumericalError,
+    SpecError,
+)
+from polewave.onedim import Potential1D, find_bound_1d, pole_residue_1d, residue_prediction_1d
 from polewave.poletheorem import (
     compare_to_bound,
     extrapolant_samples,
@@ -178,10 +185,23 @@ def test_residue_methods_agree(sq41, sq41_states):
 
 
 def test_residue_method_guards(gauss41, sq41, sq41_states):
+    """A decaying tail takes the imaginary-axis residue like a cutoff
+    well, radially and in both line channels; an unknown method is
+    refused."""
     pot_g, grid_g = gauss41
     state = find_bound_states(pot_g, 0, grid_g)[0]
-    with pytest.raises(SpecError, match="finite-range"):
-        smatrix_residue(pot_g, 0, state.alpha, grid_g, "imaginary_axis")
+    est = smatrix_residue(pot_g, 0, state.alpha, grid_g, "imaginary_axis")
+    pred = residue_prediction(0, state.asymptotic_norm)
+    assert abs(est.value - pred) / abs(pred) < 1e-6
+    p = Potential1D(pot_g)
+    for parity in ("even", "odd"):
+        s1 = find_bound_1d(p, parity, grid_g)[0]
+        # the even ladder reaches kappa = 1.54 in the lower half plane,
+        # where e^{2 kappa r_c} at r_c = 5.38 is 1.4e7
+        with pytest.warns(ConditioningWarning) if parity == "even" else nullcontext():
+            est = pole_residue_1d(p, parity, s1.alpha, grid_g)
+        pred = residue_prediction_1d(parity, s1.norm_constant)
+        assert abs(est.value - pred) / abs(pred) < 1e-2
     pot, grid = sq41
     with pytest.raises(SpecError):
         smatrix_residue(pot, 0, sq41_states[0].alpha, grid, "saddle")

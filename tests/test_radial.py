@@ -103,6 +103,17 @@ def test_lower_half_plane_strip_guard():
     assert np.isfinite(f[0])
 
 
+def test_tail_jost_does_not_depend_on_rmax():
+    """Beyond its cutoff node a decaying tail counts as zero, so F reads
+    the same bits on every grid that reaches past that node, in either
+    half plane and on the real axis."""
+    pot = make_potential(PotentialSpec("gaussian", 4.0, 1.0))
+    k = np.array([0.3, 1.1, 2.7, 0.4j, 1.5j, -0.3j, -1.0j, 0.8 - 0.5j])
+    f = [jost_function(pot, 0, k, make_grid(pot, h=1 / 256, r_max=x)) for x in (12, 25, 40)]
+    assert np.array_equal(f[0], f[1])
+    assert np.array_equal(f[0], f[2])
+
+
 def test_cutoff_potential_has_no_strip_limit(sq41):
     """Beyond a hard cutoff the outer solution is exact, so the square
     well reaches arbitrarily deep momenta in the lower half plane."""

@@ -124,7 +124,6 @@ def test_build_rejects_non_eigenvalues(sq41):
         build_bound_state(pot, 0, -0.5, grid)
 
 
-@pytest.mark.filterwarnings("ignore::polewave.errors.ConditioningWarning")
 @given(st.floats(1.5, 40.0), st.floats(0.5, 1.5))
 @settings(max_examples=10, deadline=None)
 def test_square_well_spectrum_is_complete(depth, radius):
