@@ -1,11 +1,11 @@
 """Riccati-Bessel and Riccati-Hankel functions for complex argument.
 
-We need j-hat, y-hat and h-hat(+) together with first derivatives, for
-low partial waves but at genuinely complex argument (the Jost machinery
-evaluates them at k r with k anywhere in the cut plane). scipy's
-spherical_jn only takes real arguments, so l = 0, 1 are written out in
-closed form and higher l is built by upward recurrence, which is stable
-for the moderate |x| and small l used here.
+We need j-hat, y-hat and h-hat(+), and the first derivatives of j-hat
+and h-hat(+), for low partial waves but at genuinely complex argument
+(the Jost machinery evaluates them at k r with k anywhere in the cut
+plane). scipy's spherical_jn only takes real arguments, so l = 0, 1 are
+written out in closed form and higher l is built by upward recurrence,
+which is stable for the moderate |x| and small l used here.
 
 Conventions:
 
@@ -101,17 +101,6 @@ def jhat_d(l: int, x) -> np.ndarray:
         series = 2.0 * x / 3.0 * (1.0 - x2 / 5.0 * (1.0 - 3.0 * x2 / 56.0))
         return np.where(small, series, direct)
     zp, zl = _recur_pair(l, x, jhat(0, x), jhat(1, x))
-    return zp - l / x * zl
-
-
-def yhat_d(l: int, x) -> np.ndarray:
-    """d/dx of yhat_l."""
-    x = _asarray(x)
-    if l == 0:
-        return np.sin(x)
-    if l == 1:
-        return np.cos(x) / (x * x) + np.sin(x) / x - np.cos(x)
-    zp, zl = _recur_pair(l, x, yhat(0, x), yhat(1, x))
     return zp - l / x * zl
 
 

@@ -17,13 +17,14 @@ import numpy as np
 # free_decay and free_decay_d live with the solver, which must not load
 # this module; they are re-exported here with the other closed forms
 from ._riccati import free_decay, free_decay_d, hhat_plus, hhat_plus_d, jhat, jhat_d, yhat
-from .errors import NoBoundStateError, SpecError
+from .errors import NoBoundStateError
 
 
 def _brackets(fn, lo: float, hi: float, n: int = 2000):
-    """Sign-change brackets of a scalar function on [lo, hi]."""
+    """Sign-change brackets on [lo, hi] of a function that maps an
+    array elementwise."""
     xs = np.linspace(lo, hi, n)
-    vals = np.array([fn(x) for x in xs])
+    vals = fn(xs)
     out = []
     for i in range(n - 1):
         if vals[i] == 0.0:
@@ -37,8 +38,8 @@ def _brackets(fn, lo: float, hi: float, n: int = 2000):
 class SquareWellOracle:
     """Everything about U(r) = -depth on r < radius, in closed form.
 
-    Only l = 0 and l = 1 are supported; that covers every reference
-    case in the test suite.
+    The bound-state forms take any l through scipy's spherical_jn and
+    spherical_kn, so they stay independent of the solver's _riccati.
     """
 
     depth: float
@@ -65,26 +66,36 @@ class SquareWellOracle:
         """delta_l(k) = -arg F_l(k), principal value."""
         return -np.angle(self.jost(l, np.asarray(k, dtype=float)))
 
-    def scattering_length(self) -> float:
-        """s-wave scattering length a - tan(sqrt(U0) a) / sqrt(U0)."""
-        q = math.sqrt(self.depth)
-        return self.radius - math.tan(q * self.radius) / q
+    def _bound_profiles(self, l: int, alpha):
+        """Interior wavenumber K, and the interior jhat_l(K r) and the
+        decaying exterior E(r) -> exp(-alpha r) of a bound state, as
+        functions of r returning (value, r-derivative); E is
+        (2/pi) x k_l(x) at x = alpha r, free_decay in Bessel form."""
+        from scipy.special import spherical_jn, spherical_kn
 
-    def bound_condition(self, l: int, alpha: float) -> float:
-        """Real function of alpha whose zeros on (0, sqrt(U0)) are the
-        bound-state wavenumbers. Written in product form so there are
-        no cotangent poles to confuse a bracketing search."""
-        a = self.radius
-        bigk = math.sqrt(self.depth - alpha * alpha)
-        if l == 0:
-            return bigk * math.cos(bigk * a) + alpha * math.sin(bigk * a)
-        if l == 1:
-            e = free_decay(1, alpha, a)
-            e_d = free_decay_d(1, alpha, a)
-            return float(
-                bigk * jhat_d(1, bigk * a).real * e - jhat(1, bigk * a).real * e_d
-            )
-        raise SpecError("square-well oracle covers l = 0 and l = 1 only")
+        bigk = np.sqrt(self.depth - alpha * alpha)
+
+        def inner(r):
+            z = bigk * np.asarray(r, dtype=float)
+            j, jd = spherical_jn(l, z), spherical_jn(l, z, derivative=True)
+            return z * j, bigk * (j + z * jd)
+
+        def outer(r):
+            x = alpha * np.asarray(r, dtype=float)
+            kn, knd = spherical_kn(l, x), spherical_kn(l, x, derivative=True)
+            return 2.0 / math.pi * x * kn, 2.0 / math.pi * alpha * (kn + x * knd)
+
+        return bigk, inner, outer
+
+    def bound_condition(self, l: int, alpha):
+        """Real function of alpha, elementwise, whose zeros on
+        (0, sqrt(U0)) are the bound-state wavenumbers: the Wronskian of
+        the interior and exterior solutions at the edge. Written in
+        product form so there are no cotangent poles to confuse a
+        bracketing search."""
+        _, inner, outer = self._bound_profiles(l, alpha)
+        (j, jd), (e, ed) = inner(self.radius), outer(self.radius)
+        return jd * e - j * ed
 
     def bound_alphas(self, l: int) -> list[float]:
         """All bound-state alphas, deepest first."""
@@ -100,39 +111,32 @@ class SquareWellOracle:
                 lambda x: self.bound_condition(l, x), x0, x1, xtol=1e-14, rtol=1e-15))
         return sorted(roots, reverse=True)
 
-    def _interior_coefficient(self, l: int, alpha: float) -> float:
-        a = self.radius
-        bigk = math.sqrt(self.depth - alpha * alpha)
-        return float(free_decay(l, alpha, a) / jhat(l, bigk * a).real)
-
     def normalization(self, l: int, alpha: float) -> float:
         """Asymptotic coefficient N of the unit-norm bound state,
-        u(r) -> N exp(-alpha r) (times the l-dependent dressing)."""
-        a = self.radius
-        bigk = math.sqrt(self.depth - alpha * alpha)
-        a_in = self._interior_coefficient(l, alpha)
-        if l == 0:
-            inner = a_in**2 * (a / 2.0 - math.sin(2.0 * bigk * a) / (4.0 * bigk))
-            outer = math.exp(-2.0 * alpha * a) / (2.0 * alpha)
-        else:
-            from scipy.integrate import quad
+        u(r) -> N exp(-alpha r) (times the l-dependent dressing).
 
-            inner = quad(lambda r: (a_in * jhat(l, bigk * r).real) ** 2, 0.0, a)[0]
-            outer = quad(lambda r: free_decay(l, alpha, r) ** 2, a, 60.0 / alpha)[0]
-        return 1.0 / math.sqrt(inner + outer)
+        For solutions of u'' = (l(l+1)/r^2 - q) u, d/dr W[u_p, u_q] =
+        (p - q) u_p u_q, so each integral of u^2 is the Wronskian of u and
+        du/dq at the edge, with u'' taken from the equation."""
+        a = self.radius
+        bigk, inner, outer = self._bound_profiles(l, alpha)
+        (j, jd), (e, ed) = inner(a), outer(a)
+        z, x = bigk * a, alpha * a
+        jdd = (l * (l + 1) / a**2 - bigk**2) * j
+        edd = (l * (l + 1) / a**2 + alpha**2) * e
+        body = (z * (jd * jd - j * jdd) / bigk - j * jd) / (2.0 * bigk**2)
+        tail = -(e * ed + x * (e * edd - ed * ed) / alpha) / (2.0 * alpha**2)
+        return 1.0 / math.sqrt((e / j) ** 2 * body + tail)
 
     def bound_u(self, l: int, alpha: float, r) -> np.ndarray:
         """Unit-norm bound radial function, positive at large r."""
         r = np.asarray(r, dtype=float)
-        a = self.radius
-        bigk = math.sqrt(self.depth - alpha * alpha)
-        n = self.normalization(l, alpha)
-        a_in = self._interior_coefficient(l, alpha)
-        inside = r < a
+        _, inner, outer = self._bound_profiles(l, alpha)
+        inside = r < self.radius
         out = np.empty_like(r)
-        out[inside] = a_in * jhat(l, bigk * r[inside]).real
-        out[~inside] = free_decay(l, alpha, r[~inside])
-        return n * out
+        out[inside] = inner(r[inside])[0] * (outer(self.radius)[0] / inner(self.radius)[0])
+        out[~inside] = outer(r[~inside])[0]
+        return self.normalization(l, alpha) * out
 
     def physical_wave(self, l: int, k: float, r) -> np.ndarray:
         """Scattering solution behaving as sin(k r - l pi/2 + delta)/k."""

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _integrate as ig
-from .errors import NoBoundStateError, NumericalError, SpecError
+from .errors import NoBoundStateError, SpecError
 from .potentials import Grid, Potential, make_grid
 from .poletheorem import (
     ExtrapolantSamples,
@@ -61,10 +61,11 @@ from .poletheorem import (
     _sample_window,
     extrapolate_to_pole,
 )
-from .radial import _sweep_jost, _sweep_regular, solve_jost_reduced, solve_regular
+from .radial import _jost_from_regular, _matched_state, _sweep_regular, _wronskian_node
 from .spectrum import _regula_falsi, _scan_roots, decay_tail_integral
 
-_PARITIES = ("even", "odd")
+#: the l of the regular solution that is each parity's outward solution
+_L_OUT = {"even": -1, "odd": 0}
 
 
 @dataclass(frozen=True)
@@ -94,18 +95,30 @@ class Potential1D:
 
 
 def _check_parity(parity: str) -> str:
-    if parity not in _PARITIES:
-        raise SpecError(f"parity must be one of {_PARITIES}, got {parity!r}")
+    if parity not in _L_OUT:
+        raise SpecError(f"parity must be one of {tuple(_L_OUT)}, got {parity!r}")
     return parity
 
 
-def _parity_sweep(p: Potential1D, parity: str, k, grid: Grid) -> np.ndarray:
+def _parity_sweep(
+    p: Potential1D, parity: str, k, grid: Grid, window: bool = False
+) -> np.ndarray:
     """Raw outward solution of the given parity, seed normalization
     y(0) = 1 (even) or y'(0) = 1 (odd): the regular solution at
-    l = -1 or l = 0."""
-    if parity == "even":
-        return _sweep_regular(p.half, -1, k, grid)
-    return solve_regular(p.half, 0, k, grid).values
+    l = -1 or l = 0, on the whole grid or out to the top of the Jost
+    window only."""
+    top = _wronskian_node(p.half, grid) + 2 if window else None
+    return _sweep_regular(p.half, _L_OUT[parity], k, grid, top)
+
+
+def _origin_value(p: Potential1D, parity: str, k, grid: Grid, y: np.ndarray) -> np.ndarray:
+    """f'(k, 0) (even) or f(k, 0) (odd) of the half-line Jost solution,
+    from the parity solution y swept at k^2 out to the Jost window: the
+    Wronskian W[ft_0, y] is -f'(k, 0) resp. f(k, 0) at the origin, and
+    constant, so it is read on the window jost_function reads. The odd
+    value is F_0(k) itself."""
+    w = _jost_from_regular(p.half, 0, k, grid, y)
+    return -w if parity == "even" else w
 
 
 @dataclass
@@ -156,13 +169,6 @@ def solve_parity(p: Potential1D, parity: str, k, grid: Grid | None = None) -> Pa
     return ParitySolution(grid, parity, k, vals, delta)
 
 
-def _origin_jost(p: Potential1D, k, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """f(k, 0) and f'(k, 0) of the half-line Jost solution, from its
-    values on nodes 0..4, the forward stencil at the origin."""
-    vals = _sweep_jost(p.half, 0, k, grid, 0, 4)
-    return vals[0], ig.deriv_forward(vals, 0, grid.h)
-
-
 def smatrix_1d(p: Potential1D, parity: str, k, grid: Grid | None = None) -> np.ndarray:
     """S matrix of one parity channel.
 
@@ -173,19 +179,16 @@ def smatrix_1d(p: Potential1D, parity: str, k, grid: Grid | None = None) -> np.n
     if grid is None:
         grid = make_grid(p.half)
     k = np.atleast_1d(np.asarray(k, dtype=complex))
-    f0p, fp0p = _origin_jost(p, k, grid)
-    f0m, fp0m = _origin_jost(p, -k, grid)
-    if parity == "even":
-        return -fp0m / fp0p
-    return f0m / f0p
+    y = _parity_sweep(p, parity, k, grid, window=True)
+    s = _origin_value(p, parity, -k, grid, y) / _origin_value(p, parity, k, grid, y)
+    return -s if parity == "even" else s
 
 
 def _parity_condition(p: Potential1D, parity: str, kappa, grid: Grid) -> np.ndarray:
     """The real bound-state condition on the imaginary axis:
     f'(i kappa, 0) for even, f(i kappa, 0) for odd."""
-    kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
-    f0, fp0 = _origin_jost(p, 1j * kappa, grid)
-    return (fp0 if parity == "even" else f0).real
+    k = 1j * np.atleast_1d(np.asarray(kappa, dtype=float))
+    return _origin_value(p, parity, k, grid, _parity_sweep(p, parity, k, grid, window=True)).real
 
 
 @dataclass
@@ -235,21 +238,10 @@ def find_bound_1d(
 
 
 def build_bound_1d(p: Potential1D, parity: str, alpha: float, grid: Grid) -> BoundState1D:
-    """Construct the bound state at a known alpha of the given parity."""
-    _check_parity(parity)
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise SpecError("alpha must be positive")
-    sol = solve_jost_reduced(p.half, 0, 1j * alpha, grid)
-    u = sol.values[:, 0].real
-    f0 = float(u[0])
-    fp0 = float(ig.deriv_forward(sol.values, 0, grid.h).real[0])
-    scale = float(np.max(np.abs(u)))
-    bad = abs(fp0) > 1e-5 * scale / grid.h if parity == "even" else abs(f0) > 1e-5 * scale
-    if bad:
-        raise NumericalError(
-            f"alpha = {alpha:.12g} does not satisfy the {parity} boundary "
-            "condition at x = 0; it is not a bound state of this parity"
-        )
+    """Construct the bound state at a known alpha of the given parity:
+    the parity solution matched to the half-line Jost solution at the
+    outer turning point, refused unless the two match."""
+    u = _matched_state(p.half, _L_OUT[_check_parity(parity)], 0, alpha, grid)
     body = float(ig.simpson(u**2, grid.h))
     tail = decay_tail_integral(0, alpha, grid.r_max)
     n_const = 1.0 / math.sqrt(2.0 * (body + tail))
@@ -303,9 +295,9 @@ def extrapolant_samples_1d(
     """
     _check_parity(parity)
     t, k = _sample_window(alpha, n_samples, spacing, mode)
-    y = _parity_sweep(p, parity, k, grid).real
-    (f0_up, fp0_up), (f0_dn, fp0_dn) = _origin_jost(p, k, grid), _origin_jost(p, -k, grid)
-    w = (fp0_up * fp0_dn if parity == "even" else f0_up * f0_dn).real
+    y = _parity_sweep(p, parity, k, grid)
+    w = (_origin_value(p, parity, k, grid, y) * _origin_value(p, parity, -k, grid, y)).real
+    y = y.real
     sigma = parity_branch_sign(p, parity, alpha, grid)
     asym = 1.0 if parity == "even" else -1.0
     mode_name = "imaginary" if mode == "near" else "real"

@@ -44,6 +44,9 @@ from .potentials import _TAIL_TINY, Grid, Potential, make_grid
 
 #: momenta whose rounding grows by more than this factor get a warning
 _CONDITION_LIMIT = 1e6
+#: largest relative Wronskian mismatch of a matched bound state on a
+#: fine grid; a wrong alpha reads O(1)
+_MATCH_TOL = 1e-6
 
 
 def _momenta(k) -> np.ndarray:
@@ -120,7 +123,6 @@ class RadialSolution:
     l: int
     k: np.ndarray
     values: np.ndarray
-    kind: str
 
     def at_radius(self, radius: float) -> np.ndarray:
         return self.values[self.grid.index_of(radius)]
@@ -196,7 +198,7 @@ def solve_regular(potential: Potential, l: int, k, grid: Grid) -> RadialSolution
     if l < 0:
         raise SpecError("l must be a non-negative integer")
     k = _momenta(k)
-    return RadialSolution(grid, l, k, _sweep_regular(potential, l, k, grid), "regular")
+    return RadialSolution(grid, l, k, _sweep_regular(potential, l, k, grid))
 
 
 def _free_reduced(l: int, k: np.ndarray, r_sl: np.ndarray) -> np.ndarray:
@@ -224,13 +226,13 @@ def solve_jost_reduced(potential: Potential, l: int, k, grid: Grid) -> RadialSol
     set to zero; ft diverges like r^{-l} there and is never needed at
     the origin itself.
 
-    This is the whole grid, for the bound-state wave. The Jost function
-    reads ft only on the five-node Wronskian window beyond r_c, where it
-    is the free solution and nothing is swept.
+    This is the whole grid, the reference the windowed sweeps are
+    checked against. The Jost function reads ft only on the five-node
+    Wronskian window beyond r_c, where it is the free solution, and a
+    bound state sweeps it in only to its match node (_matched_state).
     """
     k = _momenta(k)
-    vals = _sweep_jost(potential, l, k, grid, 0, grid.n)
-    return RadialSolution(grid, l, k, vals, "jost-reduced")
+    return RadialSolution(grid, l, k, _sweep_jost(potential, l, k, grid, 0, grid.n))
 
 
 def _cutoff_node(potential: Potential, grid: Grid) -> int:
@@ -397,6 +399,43 @@ def regular_and_jost(
         _jost_from_regular(potential, l, k, grid, phi),
         _jost_from_regular(potential, l, -k, grid, phi),
     )
+
+
+def _matched_state(
+    potential: Potential, l_out: int, l: int, alpha: float, grid: Grid
+) -> np.ndarray:
+    """The bound-state function at k = i alpha with unit tail coefficient,
+    by outward/inward matching (J. W. Cooley, Math. Comp. 15, 363 (1961)).
+
+    The regular solution at l_out (l in 3D; -1 even, 0 odd on the line)
+    is swept out from the origin and ft_l in from the cutoff node, each
+    the way it grows, to the outer classical turning point t: the
+    outermost node inside r_c where U + l(l+1)/r^2 + alpha^2 < 0. u is
+    ft from t on and phi ft(t) / phi(t) inside. alpha is refused unless
+    the relative Wronskian |W| / (|ft phi'| + |ft' phi|) at t is within
+    _MATCH_TOL, or on a grid too coarse for that, (q h)^4.
+    """
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise SpecError("alpha must be a positive real number")
+    k = np.array([1j * alpha])
+    h, r = grid.h, grid.r()[1 : _cutoff_node(potential, grid) + 1]
+    pot_r = potential(r)
+    allowed = np.flatnonzero(pot_r + l * (l + 1) / r**2 + alpha**2 < 0)
+    # both five-node stencils stay on the grid
+    t = min(max(int(allowed[-1]) + 1 if allowed.size else 0, 2), grid.n - 2)
+    phi = _sweep_regular(potential, l_out, k, grid, t + 2)[:, 0].real
+    ft = _sweep_jost(potential, l, k, grid, t - 2, grid.n)[:, 0].real
+    a, b = ft[2] * ig.deriv_central(phi, t, h), ig.deriv_central(ft, 2, h) * phi[t]
+    mismatch = abs(a - b) / (abs(a) + abs(b))
+    # at a true state this is the truncation error of the two sweeps,
+    # below (q h)^4 for the local momentum q of _check_step
+    q2 = np.max(np.abs(pot_r), initial=0.0) + alpha**2
+    if not mismatch <= max(_MATCH_TOL, (q2 * h * h) ** 2):
+        raise NumericalError(
+            f"alpha = {alpha:.12g} is not a bound state: the outward and inward "
+            f"solutions do not match at r = {t * h:g} (relative Wronskian {mismatch:.2e})"
+        )
+    return np.concatenate([phi[:t] * (ft[2] / phi[t]), ft[2:]])
 
 
 def jost_on_imaginary_axis(

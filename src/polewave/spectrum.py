@@ -6,10 +6,12 @@ real (see radial), so the search is a sign-change scan plus a bracketed
 Illinois regula falsi with a bisection safeguard, batched over
 candidates so the grid solves stay vectorized.
 
-The bound radial function is the reduced Jost solution itself,
-u propto ft_l(i alpha, r), which decays like exp(-alpha r) with unit
-coefficient by construction; normalization only has to integrate u^2 on
-the grid and add the analytic tail beyond r_max.
+The bound radial function is the regular solution swept out to the
+outer turning point, matched there to the reduced Jost solution
+ft_l(i alpha, r) swept in from the cutoff node (radial._matched_state).
+It decays like exp(-alpha r) with unit coefficient by construction;
+normalization only has to integrate u^2 on the grid and add the
+analytic tail beyond r_max.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import numpy as np
 
 from . import _integrate as ig
 from ._riccati import free_decay, free_decay_d
-from .errors import NoBoundStateError, NumericalError, SpecError
+from .errors import NoBoundStateError
 from .potentials import Grid, Potential, make_grid
-from .radial import _origin_series, jost_on_imaginary_axis, solve_jost_reduced
+from .radial import _matched_state, jost_on_imaginary_axis
 
 _N_SCAN = 200
 
@@ -206,48 +208,19 @@ def ground_state(
     return states[0]
 
 
-def _check_regular_at_origin(
-    potential: Potential, l: int, alpha: float, grid: Grid, vals: np.ndarray
-) -> None:
-    """A true bound state is regular at r = 0. The inward Jost sweep
-    exposes any admixture of the irregular r^{-l} solution right at the
-    innermost nodes, so test there."""
-    peak = float(np.max(np.abs(vals)))
-    if l == 0:
-        # ft_0(i alpha, 0) equals F_0(i alpha), which must be ~ 0
-        if abs(vals[0]) > 1e-5 * peak:
-            raise NumericalError(
-                f"alpha = {alpha:.12g} is not a bound state: the radial function "
-                f"does not vanish at the origin ({abs(vals[0]):.2e} vs peak {peak:.2e})"
-            )
-        return
-    series = _origin_series(potential, l, -(alpha**2))
-    expected = series(2 * grid.h) / series(grid.h)
-    actual = vals[2] / vals[1]
-    if not math.isfinite(actual) or abs(actual / expected - 1.0) > 0.05:
-        raise NumericalError(
-            f"alpha = {alpha:.12g} is not a bound state: near-origin growth "
-            f"{actual:.6g} differs from the regular ratio {expected:.6g}"
-        )
-
-
 def build_bound_state(
     potential: Potential, l: int, alpha: float, grid: Grid
 ) -> BoundState:
     """Construct and normalize the bound state at a known alpha.
 
     alpha must already be a zero of F_l(i alpha) on this grid to high
-    accuracy; the origin-regularity check below rejects anything else.
+    accuracy: the outward and inward solutions are matched at the outer
+    turning point, and a Wronskian mismatch there refuses anything else.
     """
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise SpecError("alpha must be a positive real number")
-    sol = solve_jost_reduced(potential, l, 1j * alpha, grid)
-    vals = sol.values[:, 0].real
-    _check_regular_at_origin(potential, l, alpha, grid, vals)
-    body = float(ig.simpson(vals**2, grid.h))
-    tail = decay_tail_integral(l, alpha, grid.r_max)
-    norm = 1.0 / math.sqrt(body + tail)
-    return BoundState(grid=grid, l=l, alpha=alpha, u=norm * vals, asymptotic_norm=norm)
+    u = _matched_state(potential, l, l, alpha, grid)
+    body = float(ig.simpson(u**2, grid.h))
+    norm = 1.0 / math.sqrt(body + decay_tail_integral(l, alpha, grid.r_max))
+    return BoundState(grid=grid, l=l, alpha=alpha, u=norm * u, asymptotic_norm=norm)
 
 
 def asymptotic_coefficient(state: BoundState) -> float:

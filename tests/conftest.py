@@ -65,6 +65,13 @@ def deep30_states(deep30):
 
 
 @pytest.fixture(scope="session")
+def sq60():
+    pot = make_potential(PotentialSpec("square", 60.0, 1.0))
+    grid = make_grid(pot, h=1 / 256)
+    return pot, grid
+
+
+@pytest.fixture(scope="session")
 def sq15():
     pot = make_potential(PotentialSpec("square", 15.0, 1.0))
     grid = make_grid(pot, h=1 / 256)

@@ -1,4 +1,4 @@
-"""Acceptance gate: the eight headline claims at their stated bounds.
+"""Acceptance gate: the nine headline claims at their stated bounds.
 
 Each criterion is one test with one printed pass line (run with -v for
 the per-criterion verdict, -s to see the margins). Tolerances here are
@@ -7,12 +7,14 @@ frozen bounds.
 """
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from polewave.analytic import SquareWellOracle
+from polewave.errors import ConditioningWarning
 from polewave.onedim import Potential1D, pole_extrapolate_1d, zero_energy_phase
 from polewave.poletheorem import (
     compare_to_bound,
@@ -188,3 +190,28 @@ def test_criterion_8_structural_invariants(sq41, sq41_states, sq41_oracle, gauss
         f"symmetry {sym:.1e}, unitarity {uni:.1e}, wronskian {w_spread:.1e}, "
         f"identity {ident.residual:.1e}, halving factor {np.min(factors):.1f}",
     )
+
+
+@pytest.mark.parametrize("depth, l", [(30.0, 2), (60.0, 2), (60.0, 3), (100.0, 2), (100.0, 4)])
+def test_criterion_9_higher_partial_waves(depth, l):
+    """Every bound state of square (depth, 1) at l >= 2, against the
+    spherical-Bessel closed forms, and the residue identity with it."""
+    pot = make_potential(PotentialSpec("square", depth, 1.0))
+    grid = make_grid(pot, h=1 / 1024)
+    oracle = SquareWellOracle(depth, 1.0)
+    states, alphas = find_bound_states(pot, l, grid), oracle.bound_alphas(l)
+    assert len(states) == len(alphas)
+    worst = 0.0
+    for s, a in zip(states, alphas):
+        assert abs(s.alpha - a) < 1e-8
+        assert s.asymptotic_norm == pytest.approx(oracle.normalization(l, a), rel=1e-6)
+        # the residue reads F at -i alpha, rounding-amplified by
+        # e^{2 alpha r_c}, which passes 1e6 for the deep state at depth 100
+        deep = math.exp(2.0 * s.alpha) > 1e6
+        with pytest.warns(ConditioningWarning) if deep else nullcontext():
+            est = smatrix_residue(pot, l, s.alpha, grid, "imaginary_axis")
+        pred = residue_prediction(l, s.asymptotic_norm)
+        worst = max(worst, abs(est.value - pred) / abs(pred))
+        assert worst < 1e-3
+    _passed(9, f"l={l}, {len(states)} states, residue rel {worst:.2e}")
+

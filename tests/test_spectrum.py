@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
+from scipy.optimize import brentq
 
 from polewave.analytic import (
     SquareWellOracle,
@@ -85,7 +86,7 @@ def test_states_are_unit_norm_and_tail_positive(deep30_states, sq15_l1_states):
         body = float(simpson(s.u**2, x=s.grid.r()))
         tail = s.asymptotic_norm**2 * decay_tail_integral(s.l, s.alpha, s.grid.r_max)
         assert body + tail == pytest.approx(1.0, abs=1e-10)
-        # the inward sweep leaves a rounding-level residual at r = 0
+        # the outward sweep starts from u(0) = 0
         assert abs(s.u[0]) < 1e-8
         assert s.u[-1] > 0
 
@@ -107,6 +108,64 @@ def test_tail_reference_matches_the_state(sq41_states):
     assert np.max(np.abs(s.u[sel] - s.asymptotic_norm * s.tail_reference()[sel])) < 1e-9
 
 
+def _elementary_square_well(l, depth, radius):
+    """The square well's bound states at l = 0 and 1 from sin, cos and
+    exp alone: alphas by brentq, each with N by quadrature and the
+    unnormalized profile."""
+    from scipy.optimize import brentq
+
+    def profiles(alpha):
+        bigk = np.sqrt(depth - alpha**2)
+        if l == 0:
+            inner = lambda r: (np.sin(bigk * r), bigk * np.cos(bigk * r))
+            outer = lambda r: (np.exp(-alpha * r), -alpha * np.exp(-alpha * r))
+        else:
+            inner = lambda r: (
+                np.sin(bigk * r) / (bigk * r) - np.cos(bigk * r),
+                np.cos(bigk * r) / r - np.sin(bigk * r) / (bigk * r**2) + bigk * np.sin(bigk * r),
+            )
+            outer = lambda r: (
+                np.exp(-alpha * r) * (1 + 1 / (alpha * r)),
+                -alpha * np.exp(-alpha * r) * (1 + 1 / (alpha * r) + 1 / (alpha * r) ** 2),
+            )
+        return inner, outer
+
+    def condition(alpha):
+        inner, outer = profiles(alpha)
+        (j, jd), (e, ed) = inner(radius), outer(radius)
+        return jd * e - j * ed
+
+    xs = np.linspace(1e-6, np.sqrt(depth) * (1 - 1e-9), 4000)
+    c = condition(xs)
+    out = []
+    for i in np.flatnonzero(c[:-1] * c[1:] < 0)[::-1]:
+        alpha = brentq(condition, xs[i], xs[i + 1], xtol=1e-15, rtol=1e-15)
+        inner, outer = profiles(alpha)
+        coef = outer(radius)[0] / inner(radius)[0]
+        body = quad(lambda r: (coef * inner(r)[0]) ** 2, 0, radius, epsabs=0, epsrel=1e-13)[0]
+        tail = quad(lambda r: outer(r)[0] ** 2, radius, np.inf, epsabs=0, epsrel=1e-13)[0]
+        out.append((alpha, 1 / np.sqrt(body + tail), inner, outer, coef))
+    return out
+
+
+@pytest.mark.parametrize(
+    "depth, radius, l", [(4.0, 1.0, 0), (30.0, 1.0, 0), (40.0, 1.5, 1), (100.0, 1.0, 1)]
+)
+def test_square_well_oracle_keeps_the_elementary_forms(depth, radius, l):
+    """At l = 0 and 1 the spherical-Bessel oracle reproduces the
+    elementary closed forms: alpha, N and the unit-norm profile."""
+    oracle = SquareWellOracle(depth, radius)
+    ref = _elementary_square_well(l, depth, radius)
+    alphas = oracle.bound_alphas(l)
+    assert len(alphas) == len(ref)
+    r = np.linspace(0.05, 4.0 * radius, 80)
+    for a, (alpha, n, inner, outer, coef) in zip(alphas, ref):
+        assert a == pytest.approx(alpha, rel=1e-12)
+        assert oracle.normalization(l, alpha) == pytest.approx(n, rel=1e-12)
+        u = n * np.where(r < radius, coef * inner(r)[0], outer(r)[0])
+        assert np.max(np.abs(oracle.bound_u(l, alpha, r) - u)) <= 1e-12 * np.max(np.abs(u))
+
+
 def test_decay_tail_integral_closed_forms():
     cases = [(0, 0.7, 5.0), (1, 1.2, 7.0), (2, 0.9, 6.0), (3, 0.4, 3.0), (4, 1.5, 2.0)]
     for l, alpha, radius in cases:
@@ -116,12 +175,15 @@ def test_decay_tail_integral_closed_forms():
         assert decay_tail_integral(l, alpha, radius) == pytest.approx(ref, rel=1e-9)
 
 
-def test_build_rejects_non_eigenvalues(sq41):
+def test_build_rejects_non_eigenvalues(sq41, sq60):
     pot, grid = sq41
     with pytest.raises(NumericalError):
         build_bound_state(pot, 0, 0.3, grid)
     with pytest.raises(SpecError):
         build_bound_state(pot, 0, -0.5, grid)
+    pot, grid = sq60
+    with pytest.raises(NumericalError):
+        build_bound_state(pot, 2, 3.0, grid)
 
 
 @given(st.floats(1.5, 40.0), st.floats(0.5, 1.5))

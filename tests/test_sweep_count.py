@@ -21,6 +21,7 @@ from polewave.poletheorem import (
     jost_derivative,
     smatrix_residue,
 )
+from polewave.potentials import PotentialSpec, make_grid, make_potential
 from polewave.radial import physical_wave, regular_and_jost
 from polewave.spectrum import ground_state
 
@@ -81,7 +82,10 @@ def test_jost_derivative_sweeps_once(sq41, sq41_states, sweeps):
 @pytest.mark.parametrize("mode", ["near", "real"])
 def test_gw_compare_sweeps_once(mode, tmp_path, capsys, monkeypatch, sweeps):
     """gw-compare sweeps its momenta once and probes the branch once:
-    the universal form comes from the sweep of the derivative form."""
+    the universal form comes from the sweep of the derivative form.
+
+    k^2 = -alpha^2 alone is swept twice: the root finder returns a
+    momentum it has evaluated, and the bound state is built there."""
     probes = []
     original = poletheorem.pole_branch_sign
 
@@ -95,7 +99,11 @@ def test_gw_compare_sweeps_once(mode, tmp_path, capsys, monkeypatch, sweeps):
     argv = ["gw-compare", "--potential", str(spec), "--rmax", "12", "--sample-mode", mode]
     assert main(argv + ["--ksteps", "5"]) == 0
     capsys.readouterr()
-    assert max(sweeps.values()) == 1, sorted(sweeps.values())
+    counts = dict(sweeps)
+    pot = make_potential(PotentialSpec("square", 4.0, 1.0))
+    k = np.array([1j * ground_state(pot, 0, make_grid(pot, r_max=12.0)).alpha])
+    assert counts.pop(tuple((k * k).tolist())) == 2
+    assert max(counts.values()) == 1, sorted(counts.values())
     assert len(probes) == 1
 
 

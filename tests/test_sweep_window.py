@@ -16,17 +16,24 @@ import pytest
 import polewave._integrate as ig
 import polewave.spectrum as spectrum
 from polewave.errors import ConditioningWarning
-from polewave.onedim import Potential1D, _parity_condition, find_bound_1d, smatrix_1d
+from polewave.onedim import (
+    Potential1D,
+    _parity_condition,
+    build_bound_1d,
+    find_bound_1d,
+    smatrix_1d,
+)
 from polewave.radial import (
     _cutoff_node,
     _wronskian_node,
     jost_function,
     jost_on_imaginary_axis,
+    regular_and_jost,
     solve_jost_reduced,
     solve_regular,
     wronskian,
 )
-from polewave.spectrum import find_bound_states
+from polewave.spectrum import build_bound_state, find_bound_states
 
 WELLS = [("sq41", 0), ("deep30", 0), ("sq15", 1), ("gauss41", 0), ("exp905", 0)]
 K_REAL = np.array([0.3, 1.1, 2.7])
@@ -41,12 +48,6 @@ def _full_grid_jost(pot, l, k, grid):
     return (-1j * k) ** l * wronskian(ft, phi, _wronskian_node(pot, grid), grid.h)
 
 
-def _full_grid_origin(p, k, grid):
-    """f(k, 0) and f'(k, 0) from the full-grid half-line Jost solution."""
-    vals = solve_jost_reduced(p.half, 0, k, grid).values
-    return vals[0], ig.deriv_forward(vals, 0, grid.h)
-
-
 @pytest.mark.parametrize("well, l", WELLS)
 def test_jost_function_is_bit_identical_to_the_full_sweeps(well, l, request):
     pot, grid = request.getfixturevalue(well)
@@ -57,23 +58,30 @@ def test_jost_function_is_bit_identical_to_the_full_sweeps(well, l, request):
 
 
 @pytest.mark.parametrize("well", ["sq41", "gauss41"])
-def test_line_channels_are_bit_identical_to_the_full_sweep(well, request):
+def test_line_channels_read_the_jost_window(well, request):
+    """The odd channel is the radial s wave bit for bit, the even
+    condition is the closed form on the square well, and both S
+    matrices are unimodular on the real axis."""
     pot, grid = request.getfixturevalue(well)
     p = Potential1D(pot)
     kappa = np.array([0.3, 1.0, 1.7])
-    f0, fp0 = _full_grid_origin(p, 1j * kappa, grid)
-    assert np.array_equal(_parity_condition(p, "even", kappa, grid), fp0.real)
-    assert np.array_equal(_parity_condition(p, "odd", kappa, grid), f0.real)
+    odd = _parity_condition(p, "odd", kappa, grid)
+    assert np.array_equal(odd, jost_on_imaginary_axis(pot, 0, kappa, grid))
+    if well == "sq41":
+        # f'(i kappa, 0) of the half-line Jost solution for U = -4 on x < 1
+        bigk = np.sqrt(4.0 - kappa**2)
+        even = np.exp(-kappa) * (bigk * np.sin(bigk) - kappa * np.cos(bigk))
+        np.testing.assert_allclose(_parity_condition(p, "even", kappa, grid), even, rtol=1e-8)
     for k in (K_REAL, K_UP):
         # S at K_UP needs f at -K_UP, where e^{2 |Im k| r_c} reaches
         # 1e14 on gauss41 (r_c = 5.38)
         deep = well == "gauss41" and k is K_UP
         with pytest.warns(ConditioningWarning) if deep else nullcontext():
-            f0m, fp0m = _full_grid_origin(p, -k, grid)
+            _, f_up, f_dn = regular_and_jost(pot, 0, k, grid)
             s_even, s_odd = smatrix_1d(p, "even", k, grid), smatrix_1d(p, "odd", k, grid)
-        f0p, fp0p = _full_grid_origin(p, k, grid)
-        assert np.array_equal(s_even, -fp0m / fp0p)
-        assert np.array_equal(s_odd, f0m / f0p)
+        assert np.array_equal(s_odd, f_dn / f_up)
+        if k is K_REAL:
+            assert np.max(np.abs(np.abs([s_even, s_odd]) - 1.0)) <= 1e-14
 
 
 @pytest.fixture
@@ -98,6 +106,28 @@ def test_jost_sweeps_to_the_wronskian_window(well, request, numerov_steps):
     pot, grid = request.getfixturevalue(well)
     jost_on_imaginary_axis(pot, 0, 1.0, grid)
     assert sum(numerov_steps) <= _cutoff_node(pot, grid) + 8
+
+
+@pytest.mark.parametrize("well, l", [("sq41", 0), ("gauss41", 0), ("exp905", 0), ("sq60", 3)])
+def test_bound_state_build_sweeps_to_the_match_node(well, l, request, numerov_steps):
+    """One build sweeps out to the outer turning point and in from the
+    cutoff node to it: about the cutoff node's worth of steps at any l."""
+    pot, grid = request.getfixturevalue(well)
+    for state in find_bound_states(pot, l, grid):
+        numerov_steps.clear()
+        build_bound_state(pot, l, state.alpha, grid)
+        assert sum(numerov_steps) <= _cutoff_node(pot, grid) + 8
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("well", ["sq41", "gauss41", "exp905"])
+def test_line_build_sweeps_to_the_match_node(well, parity, request, numerov_steps):
+    pot, grid = request.getfixturevalue(well)
+    p = Potential1D(pot)
+    for state in find_bound_1d(p, parity, grid):
+        numerov_steps.clear()
+        build_bound_1d(p, parity, state.alpha, grid)
+        assert sum(numerov_steps) <= _cutoff_node(pot, grid) + 8
 
 
 @pytest.fixture
