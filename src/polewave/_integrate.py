@@ -3,8 +3,10 @@ quadrature, and the Taylor step used to carry a solution across a
 potential discontinuity.
 
 Everything here works on arrays whose leading axis runs over grid nodes
-and whose trailing axis (if any) is a batch of momenta, so one python
-loop over nodes serves an entire momentum grid at once.
+and whose trailing axis (if any) is a batch of momenta. The columns of a
+batch never interact, but a Numerov sweep takes one of two paths by the
+batch width, so a column's rounding depends on which side of _WIDE its
+batch lies (see numerov).
 """
 
 from __future__ import annotations
@@ -14,21 +16,134 @@ import numpy as np
 from .errors import GridError
 
 
+#: a Numerov batch of at most this many momenta is marched in blocks
+_WIDE = 32
+#: nodes per block of the blocked march
+_BLOCK = 32
+
+
 def numerov(u0, u1, w, h: float) -> np.ndarray:
     """March u'' = w u across the nodes of w (leading axis).
 
     u0 and u1 are the values on the first two nodes, in marching order;
     for an inward sweep pass w reversed and flip the result. The local
-    error is O(h^6), the global error O(h^4).
+    error is O(h^6), the global error O(h^4). w is consumed: it must be a
+    fresh float or complex array, and g = 1 - h^2 w / 12 is built in it.
+
+    The recurrence is g[j+1] u[j+1] = c[j] u[j] - g[j-1] u[j-1] with
+    c = 12 - 10 g. A batch of more than _WIDE momenta runs it node by
+    node, one python step per node. A narrower batch, where that python
+    loop costs far more than its arithmetic, is marched in blocks of
+    _BLOCK nodes (_march_blocks): the same recurrence, associated
+    differently. Its values differ from the row loop's in the last bits,
+    so a column's rounding depends on the width of its batch; within one
+    path, a sweep cut short at any node equals the same nodes of the
+    longer sweep bit for bit, because the blocks are anchored at node 0.
+
+    Loop / blocked CPU time per call, median of 15 to 41 (2 vCPU,
+    numpy 2.4). From 300 nodes up the blocked march wins at every width
+    up to 48; it loses on sweeps of about 100 nodes, which cost little
+    either way. B = 32 ties B = 64 on long sweeps and beats it on short
+    ones:
+
+        nodes  momenta  loop ms   B = 16   B = 32   B = 64
+        6401      1      20.9      8.2x    13.5x    13.6x
+        6401      8      25.8      4.7x     5.4x     5.1x
+        6401     32      21.9      1.5x     2.1x     2.0x
+        6401     64      23.4      1.1x     1.2x     1.3x
+        1381      1       3.6      5.6x     5.6x     3.8x
+        1381     32       4.1      1.8x     1.9x     1.6x
+        1381     64       4.9      1.3x     1.3x     1.2x
+         300      1       0.77     2.6x     1.6x     0.9x
+         300     48       0.87     1.2x     1.0x     0.7x
+         100      1       0.26     1.0x     0.6x     0.3x
+
+    Rounding, as the largest error over the column's maximum against a
+    long-double run of the same recurrence on the same g and c, over 128
+    regular sweeps of five wells (l = 0 and 2, 8 momenta): the row loop
+    reaches 2.5e-10 (k = 0.3i, 6145 nodes), the blocked march 2.3e-10.
+    Per sweep the blocked error has median 0.94x the loop's and is at
+    most 6.5 x max(loop error, n eps). The unit basis (1, 0), (0, 1) in
+    place of _march_blocks' (value, difference) basis gave median 4.4x
+    and up to 635x the loop's error.
     """
-    g = 1.0 - (h * h / 12.0) * w
-    c = 12.0 - 10.0 * g
+    g = w
+    g *= -(h * h / 12.0)
+    g += 1.0
     u = np.empty(w.shape, dtype=np.result_type(u0, u1, w, float))
     u[0] = u0
     u[1] = u1
-    for j in range(1, w.shape[0] - 1):
-        u[j + 1] = (c[j] * u[j] - g[j - 1] * u[j - 1]) / g[j + 1]
+    if u[0].size > _WIDE:
+        c = _c_of(g)
+        for j in range(1, w.shape[0] - 1):
+            u[j + 1] = (c[j] * u[j] - g[j - 1] * u[j - 1]) / g[j + 1]
+    else:
+        _march_blocks(u, g)
     return u
+
+
+def _c_of(g):
+    """c = 12 - 10 g of the Numerov recurrence, with no temporary."""
+    c = np.multiply(g, -10.0)
+    c += 12.0
+    return c
+
+
+def _march_blocks(u, g) -> None:
+    """Fill u[2:] from u[0], u[1] by the Numerov recurrence in blocks of
+    _BLOCK nodes anchored at node 0, in three passes (the transfer-matrix
+    scan of G. Blelloch, "Prefix sums and their applications",
+    CMU-CS-90-190):
+
+    1. in every block at once, march the two solutions that start from
+       (1, 1) and (0, 1) on the block's first two nodes through the first
+       two nodes of the next block;
+    2. carry the state (u[p], u[p + 1]) from block to block;
+    3. fill every node as a e_1 + d e_2, with a = u[p], d = u[p+1] - u[p].
+
+    The (value, difference) basis keeps the fill free of cancellation:
+    e_1 stays near 1 and e_2 near the node offset, where the unit basis
+    (1, 0), (0, 1) has e_1 near 1 - i and e_2 near i, which cancel.
+    Every array the passes read is a strided view of g or u, and c is
+    built one strided row of blocks at a time, so the march holds u, g
+    and the two basis solutions, where the row loop holds u, g and c.
+    """
+    n, B = u.shape[0], _BLOCK
+    m = -(-n // B)
+    # e[i, s, b] is basis solution s of block b on its node i; rows past
+    # the sweep's end stay 0 and feed only states that are never stored
+    e = np.zeros((B + 2, 2, m) + u.shape[1:], dtype=g.dtype)
+    e[0, 0] = 1.0
+    e[1] = 1.0
+    for i in range(1, B + 1):
+        gn = g[i + 1 :: B]
+        k = gn.shape[0]
+        if k == 0:
+            break
+        nxt = e[i + 1, :, :k]
+        np.multiply(_c_of(g[i::B][:k]), e[i, :, :k], out=nxt)
+        nxt -= g[i - 1 :: B][:k] * e[i - 1, :, :k]
+        nxt /= gn
+    # state[b] = (u[bB], u[bB + 1]); ends[b, s] = e_s on the next block's
+    # first two nodes
+    state = np.empty((m, 2) + u.shape[1:], dtype=u.dtype)
+    state[0] = u[:2]
+    ends = e[B : B + 2].swapaxes(0, 2)
+    for b in range(m - 1):
+        a = state[b, 0]
+        np.multiply(ends[b, 0], a, out=state[b + 1])
+        state[b + 1] += ends[b, 1] * (state[b, 1] - a)
+    a = state[:, 0]
+    d = state[:, 1] - a
+    u[B::B] = a[1:]
+    u[B + 1 :: B] = state[1 : len(u[1::B]), 1]
+    for i in range(2, B):
+        dst = u[i::B]
+        k = dst.shape[0]
+        if k == 0:
+            break
+        np.multiply(a[:k], e[i, 0, :k], out=dst)
+        dst += d[:k] * e[i, 1, :k]
 
 
 def deriv_central(u, i: int, h: float):

@@ -477,7 +477,9 @@ def _stencil_derivatives(
     the axis each momentum lies on, with steps fractions x _REL_STEP |k|;
     row i of the result holds the step fractions[i]. Every stencil goes
     through one jost_function call; the columns of a batch do not
-    interact, so each difference is what a sweep of its own would give."""
+    interact, so each difference is what a sweep of its own would give,
+    up to rounding: a batch of at most _integrate._WIDE momenta is marched
+    in blocks, a wider one node by node (see numerov)."""
     k = np.atleast_1d(np.asarray(k, dtype=complex))
     if np.any(k == 0):
         raise SpecError("the Jost derivative needs k != 0")

@@ -364,7 +364,8 @@ def jost_function(
     _wronskian_node, just outside the cutoff node: phi is swept out to
     its top, and ft is the free solution there for every potential, so
     F does not depend on r_max. The values are bit-identical to the
-    Wronskian of the full-grid solve_regular and solve_jost_reduced.
+    Wronskian of the full-grid solve_regular and solve_jost_reduced at
+    the same momenta.
     """
     if grid is None:
         grid = make_grid(potential)

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from polewave.analytic import SquareWellOracle
 from polewave.cli import main
 from polewave.errors import ConditioningWarning
 
@@ -68,11 +69,15 @@ def test_bound_reports_the_state(specs, capsys):
     assert rc == 0
     v = csv_verdicts(cap.out)
     assert v["n_states"] == "1"
-    assert float(v["deepest_alpha"]) == pytest.approx(0.6380450481163584, abs=1e-10)
+    # the closed forms; the discretisation error at h = 1/256 is 2.6e-10
+    # in alpha and 2.7e-10 in N
+    oracle = SquareWellOracle(4.0, 1.0)
+    alpha_ref = oracle.bound_alphas(0)[0]
+    assert float(v["deepest_alpha"]) == pytest.approx(alpha_ref, rel=1e-9)
     row = [l for l in cap.out.splitlines() if l.startswith("0,")][0].split(",")
     alpha, energy, n = float(row[1]), float(row[2]), float(row[3])
     assert energy == pytest.approx(-alpha * alpha, abs=1e-15)
-    assert n == pytest.approx(1.5833235508654866, abs=1e-10)
+    assert n == pytest.approx(oracle.normalization(0, alpha_ref), rel=1e-9)
 
 
 def test_verify_pole_verdict(specs, capsys):
