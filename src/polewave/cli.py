@@ -199,15 +199,16 @@ def _states(cfg: argparse.Namespace):
 def cmd_phases(cfg: argparse.Namespace) -> Table:
     import numpy as np
 
-    from .radial import regular_and_jost
+    from .radial import jost_function
 
     pot = _load_spec(cfg)
     k = _k_grid(cfg)
-    _, f_up, f_dn = regular_and_jost(pot, cfg.ell, k, _grid(cfg, pot))
-    delta = -np.angle(f_up)
+    # on the real axis F(-k) = conj F(k), bit for bit
+    f = jost_function(pot, cfg.ell, k, _grid(cfg, pot))
+    delta = -np.angle(f)
     if k.size >= 2:
         delta = np.unwrap(delta)
-    s_dev = np.abs(f_dn / f_up) - 1.0
+    s_dev = np.abs(np.conj(f) / f) - 1.0
     rows = [[float(kk), float(dd), float(ss)] for kk, dd, ss in zip(k, delta, s_dev)]
     verdict = [
         ("max_unitarity_deviation", float(np.max(np.abs(s_dev)))),

@@ -61,7 +61,7 @@ from .poletheorem import (
     _sample_window,
     extrapolate_to_pole,
 )
-from .radial import _jost_from_regular, _matched_state, _sweep_regular, _wronskian_node
+from .radial import _jost, _matched_state, _regular_and_jost, _sweep_regular
 from .spectrum import _regula_falsi, _scan_roots, decay_tail_integral
 
 #: the l of the regular solution that is each parity's outward solution
@@ -100,27 +100,6 @@ def _check_parity(parity: str) -> str:
     return parity
 
 
-def _parity_sweep(
-    p: Potential1D, parity: str, k, grid: Grid, window: bool = False
-) -> np.ndarray:
-    """Raw outward solution of the given parity, seed normalization
-    y(0) = 1 (even) or y'(0) = 1 (odd): the regular solution at
-    l = -1 or l = 0, on the whole grid or out to the top of the Jost
-    window only."""
-    top = _wronskian_node(p.half, grid) + 2 if window else None
-    return _sweep_regular(p.half, _L_OUT[parity], k, grid, top)
-
-
-def _origin_value(p: Potential1D, parity: str, k, grid: Grid, y: np.ndarray) -> np.ndarray:
-    """f'(k, 0) (even) or f(k, 0) (odd) of the half-line Jost solution,
-    from the parity solution y swept at k^2 out to the Jost window: the
-    Wronskian W[ft_0, y] is -f'(k, 0) resp. f(k, 0) at the origin, and
-    constant, so it is read on the window jost_function reads. The odd
-    value is F_0(k) itself."""
-    w = _jost_from_regular(p.half, 0, k, grid, y)
-    return -w if parity == "even" else w
-
-
 @dataclass
 class ParitySolution:
     """A real scattering solution of definite parity on x >= 0.
@@ -151,7 +130,7 @@ def solve_parity(p: Potential1D, parity: str, k, grid: Grid | None = None) -> Pa
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if np.any(k <= 0):
         raise SpecError("solve_parity wants real k > 0")
-    y = _parity_sweep(p, parity, k, grid).real
+    y = _sweep_regular(p.half, _L_OUT[parity], k, grid).real
     x_top = grid.r_max
     y_top = y[-1]
     dy_top = ig.deriv_backward(y, grid.n, grid.h).real
@@ -179,16 +158,21 @@ def smatrix_1d(p: Potential1D, parity: str, k, grid: Grid | None = None) -> np.n
     if grid is None:
         grid = make_grid(p.half)
     k = np.atleast_1d(np.asarray(k, dtype=complex))
-    y = _parity_sweep(p, parity, k, grid, window=True)
-    s = _origin_value(p, parity, -k, grid, y) / _origin_value(p, parity, k, grid, y)
+    f_up, f_dn = _jost(p.half, _L_OUT[parity], 0, k, grid, minus=True)
+    s = f_dn / f_up
     return -s if parity == "even" else s
 
 
 def _parity_condition(p: Potential1D, parity: str, kappa, grid: Grid) -> np.ndarray:
     """The real bound-state condition on the imaginary axis:
-    f'(i kappa, 0) for even, f(i kappa, 0) for odd."""
+    f'(i kappa, 0) for even, f(i kappa, 0) for odd.
+
+    The Jost function read off the parity solution y is the Wronskian
+    W[ft_0, y], which is constant and equals -f'(k, 0) (even) resp.
+    f(k, 0) (odd) at the origin; the odd one is F_0(k) itself."""
     k = 1j * np.atleast_1d(np.asarray(kappa, dtype=float))
-    return _origin_value(p, parity, k, grid, _parity_sweep(p, parity, k, grid, window=True)).real
+    w = _jost(p.half, _L_OUT[parity], 0, k, grid).real
+    return -w if parity == "even" else w
 
 
 @dataclass
@@ -255,18 +239,6 @@ def ground_state_1d(p: Potential1D, parity: str, grid: Grid | None = None) -> Bo
     return states[0]
 
 
-def parity_branch_sign(p: Potential1D, parity: str, alpha: float, grid: Grid) -> float:
-    """Sign of the parity condition just below the pole, the
-    one-dimensional counterpart of the radial branch probe.
-
-    Multiplying extrapolant samples by this sign lands their pole limit
-    on +u_alpha (full-line normalized) for every parity and every depth,
-    the branch on which the channel's pole residue strength is positive
-    definite."""
-    _check_parity(parity)
-    return _branch_sign(lambda kappa: _parity_condition(p, parity, kappa, grid), alpha)
-
-
 def extrapolant_samples_1d(
     p: Potential1D,
     parity: str,
@@ -288,17 +260,20 @@ def extrapolant_samples_1d(
     but, unlike that asymptotic form, involves no cancellation between
     exponentially large terms near a pole. The (+-) is the asymptotic
     sign of the parity wave (plus for cos, minus for -sin), and sigma
-    the branch probe above. W is entire in t, so "near" mode samples
+    the sign of the parity condition just below the pole, the
+    one-dimensional counterpart of the radial branch probe: with it the
+    pole limit is +u_alpha (full-line normalized) for every parity and
+    every depth. W is entire in t, so "near" mode samples
     t_j = -alpha^2 (1 - spacing j) directly on the bound-state side;
     "real" mode samples scattering energies t_j = + spacing j alpha^2.
     Reuses the radial fitting machinery downstream (l is stored as 0).
     """
     _check_parity(parity)
     t, k = _sample_window(alpha, n_samples, spacing, mode)
-    y = _parity_sweep(p, parity, k, grid)
-    w = (_origin_value(p, parity, k, grid, y) * _origin_value(p, parity, -k, grid, y)).real
+    y, f_up, f_dn = _regular_and_jost(p.half, _L_OUT[parity], 0, k, grid)
+    w = (f_up * f_dn).real
     y = y.real
-    sigma = parity_branch_sign(p, parity, alpha, grid)
+    sigma = _branch_sign(lambda kappa: _parity_condition(p, parity, kappa, grid), alpha)
     asym = 1.0 if parity == "even" else -1.0
     mode_name = "imaginary" if mode == "near" else "real"
     return _extrapolant(
@@ -306,12 +281,7 @@ def extrapolant_samples_1d(
     )
 
 
-def compare_to_bound_1d(
-    extrapolation: PoleExtrapolation,
-    state: BoundState1D,
-    x_lo: float | None = None,
-    x_hi: float | None = None,
-) -> PoleComparison:
+def compare_to_bound_1d(extrapolation: PoleExtrapolation, state: BoundState1D) -> PoleComparison:
     """Residual profile of the extrapolated wave against +N u, the
     unit-norm bound state of the same parity.
 
@@ -321,7 +291,7 @@ def compare_to_bound_1d(
     states where the opposite-momentum Jost value has crossed zero) the
     stored samples are magnitudes and the comparison drops the sign.
     """
-    x, sel = _comparison_nodes(extrapolation, state, x_lo, x_hi)
+    x, sel = _comparison_nodes(extrapolation, state)
     expected = state.unit_norm()[sel]
     gs = extrapolation.g_star[sel]
     peak = float(np.max(np.abs(state.unit_norm())))
@@ -344,8 +314,6 @@ def pole_extrapolate_1d(
     spacing: float = 0.0005,
     mode: str = "near",
     order: int = 2,
-    x_lo: float | None = None,
-    x_hi: float | None = None,
 ) -> tuple[PoleExtrapolation, PoleComparison]:
     """Sample, fit, and compare in one call; the 1D headline check."""
     if grid is None:
@@ -354,7 +322,7 @@ def pole_extrapolate_1d(
         p, parity, state.alpha, grid, n_samples=n_samples, spacing=spacing, mode=mode
     )
     ext = extrapolate_to_pole(samples, order=order)
-    return ext, compare_to_bound_1d(ext, state, x_lo, x_hi)
+    return ext, compare_to_bound_1d(ext, state)
 
 
 def residue_prediction_1d(parity: str, norm_constant: float) -> complex:

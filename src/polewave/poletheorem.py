@@ -56,6 +56,7 @@ from .errors import ExtrapolationWarning, NumericalError, SpecError
 from .potentials import Grid, Potential
 from .radial import (
     PhysicalWave,
+    _jost,
     _jost_from_regular,
     jost_function,
     jost_on_imaginary_axis,
@@ -134,15 +135,6 @@ def pole_branch_sign(
     return _branch_sign(
         lambda kappa: jost_on_imaginary_axis(potential, l, kappa, grid), alpha
     )
-
-
-def _imaginary_axis_data(
-    potential: Potential, l: int, kappa: np.ndarray, grid: Grid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """phi(i kappa, r) and the real values F(i kappa), F(-i kappa), from
-    one regular sweep."""
-    phi, f_up, f_dn = regular_and_jost(potential, l, 1j * kappa, grid)
-    return phi.real, f_up.real, f_dn.real
 
 
 def _sample_window(
@@ -253,10 +245,11 @@ def extrapolant_samples_near_pole(
     demonstrate extrapolation from scattering energies.
     """
     t, k = _sample_window(alpha, n_samples, spacing, "near")
-    phi, f_up, f_dn = _imaginary_axis_data(potential, l, k.imag, grid)
+    phi, f_up, f_dn = regular_and_jost(potential, l, k, grid)
     s = pole_branch_sign(potential, l, alpha, grid)
     pref = alpha**l * math.sqrt(2.0 * alpha) * np.sqrt(alpha**2 + t)
-    return _extrapolant(grid, l, alpha, "imaginary", t, phi, f_up * f_dn, s, pref)
+    d = (f_up * f_dn).real
+    return _extrapolant(grid, l, alpha, "imaginary", t, phi.real, d, s, pref)
 
 
 @dataclass
@@ -320,10 +313,12 @@ class PoleComparison:
     signed: bool
 
 
-def _comparison_nodes(extrapolation: PoleExtrapolation, state, lo, hi):
+def _comparison_nodes(extrapolation: PoleExtrapolation, state, lo=None, hi=None):
     """Grid radii and the mask of the comparison window, default
     [0.5, 6/alpha], after checking that extrapolation and state share
-    the grid and the pole. state is a radial or a line bound state."""
+    the grid and the pole. state is a radial or a line bound state. A
+    window reaching past r_max is clipped there, with a warning: the
+    verdict then depends on r_max."""
     g = extrapolation.samples.grid
     if (g.h, g.n) != (state.grid.h, state.grid.n):
         raise SpecError("extrapolation and bound state live on different grids")
@@ -337,6 +332,13 @@ def _comparison_nodes(extrapolation: PoleExtrapolation, state, lo, hi):
     sel = (r >= lo) & (r <= min(hi, g.r_max))
     if not sel.any():
         raise SpecError("empty comparison window")
+    if hi > g.r_max:
+        warnings.warn(
+            f"the comparison window ends at r = {hi:.4g}, beyond r_max = {g.r_max:.4g}; "
+            "it is clipped at r_max, so the residuals depend on r_max",
+            ExtrapolationWarning,
+            stacklevel=3,
+        )
     return r, sel
 
 
@@ -427,8 +429,8 @@ def smatrix_residue(
     """
     if method == "imaginary_axis":
         def rho(kappa):
-            _, f_up, f_dn = _imaginary_axis_data(potential, l, kappa, grid)
-            return (kappa - alpha) * f_dn / f_up
+            f_up, f_dn = _jost(potential, l, l, 1j * kappa, grid, minus=True)
+            return (kappa - alpha) * f_dn.real / f_up.real
 
         value, err = _ladder_residue(alpha, rho)
     elif method == "real_axis_fit":
@@ -452,16 +454,6 @@ def smatrix_residue(
     else:
         raise SpecError(f"unknown residue method {method!r}")
     return ResidueEstimate(value, math.sqrt(abs(value)), method, err)
-
-
-def residue_consistency(
-    potential: Potential, l: int, alpha: float, grid: Grid, tol: float = 1e-2
-) -> tuple[ResidueEstimate, ResidueEstimate, bool]:
-    """Run both residue methods; flag disagreement beyond tol (relative)."""
-    a = smatrix_residue(potential, l, alpha, grid, "imaginary_axis")
-    b = smatrix_residue(potential, l, alpha, grid, "real_axis_fit")
-    scale = max(abs(a.value), abs(b.value), 1e-300)
-    return a, b, abs(a.value - b.value) / scale > tol
 
 
 @dataclass
@@ -564,11 +556,10 @@ class WronskianIdentity:
     residual: float
 
 
-def wronskian_identity(
-    state: BoundState, wave: PhysicalWave, radius: float, k_index: int = 0
-) -> WronskianIdentity:
-    """Check the cross-Wronskian identity between the bound state and a
-    physical wave at one radius (snapped to the nearest grid node)."""
+def wronskian_identity(state: BoundState, wave: PhysicalWave, radius: float) -> WronskianIdentity:
+    """Check the cross-Wronskian identity between the bound state and
+    the first momentum of a physical wave at one radius (snapped to the
+    nearest grid node)."""
     g = state.grid
     if (g.h, g.n) != (wave.grid.h, wave.grid.n):
         raise SpecError("bound state and wave live on different grids")
@@ -576,8 +567,8 @@ def wronskian_identity(
     i = max(2, min(i, g.n - 2))
     r = g.r()
     u = state.u
-    v = wave.values[:, k_index].real
-    k = float(wave.k[k_index].real)
+    v = wave.values[:, 0].real
+    k = float(wave.k[0].real)
     du = float(ig.deriv_central(u, i, g.h))
     dv = float(ig.deriv_central(v, i, g.h))
     lhs = du * v[i] - u[i] * dv

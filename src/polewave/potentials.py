@@ -294,14 +294,14 @@ def make_potential(spec: PotentialSpec) -> Potential:
     return cls(depth=spec.depth, radius=spec.radius)
 
 
-def check_integrability(potential: Potential, r_max: float | None = None) -> float:
+def check_integrability(potential: Potential) -> float:
     """Verify the short-range conditions numerically.
 
-    Checks that integral of r |U| out to r_max is finite and that the
-    remaining tail is negligible against it. Returns the integral.
+    Checks that integral of r |U| out to the suggested r_max is finite
+    and that the remaining tail is negligible against it. Returns the
+    integral.
     """
-    if r_max is None:
-        r_max = potential.suggested_rmax()
+    r_max = potential.suggested_rmax()
     r = np.linspace(0.0, r_max, 4001)
     u = potential(r)
     if not np.all(np.isfinite(u)):

@@ -232,7 +232,7 @@ def solve_jost_reduced(potential: Potential, l: int, k, grid: Grid) -> RadialSol
     bound state sweeps it in only to its match node (_matched_state).
     """
     k = _momenta(k)
-    return RadialSolution(grid, l, k, _sweep_jost(potential, l, k, grid, 0, grid.n))
+    return RadialSolution(grid, l, k, _sweep_jost(potential, l, k, grid, 0))
 
 
 def _cutoff_node(potential: Potential, grid: Grid) -> int:
@@ -266,49 +266,52 @@ def _check_strip(potential: Potential, grid: Grid, m: int, kappa: float) -> None
         )
 
 
-def _sweep_jost(
-    potential: Potential, l: int, k, grid: Grid, lo: int, hi: int
-) -> np.ndarray:
-    """Values of ft_l on nodes lo..hi, shape (hi - lo + 1, nk).
-
-    The free solution is filled in beyond the cutoff node r_c only on
-    the window and at r_c, which seeds the sweep inward, and the inward
-    sweep stops at lo. The values are bit-identical to the same nodes
-    of the full sweep: Numerov is a recurrence along the sweep, and the
-    free solution and w are evaluated node by node.
-    """
+def _check_jost(potential: Potential, l: int, k: np.ndarray, grid: Grid) -> None:
+    """The refusals of the Jost solution ft_l at momenta k, and the
+    warning where rounding inside the cutoff node grows past
+    _CONDITION_LIMIT."""
     if l < 0:
         raise SpecError("l must be a non-negative integer")
-    k = _momenta(k)
-    k2 = k * k
     if l >= 1 and np.any(k == 0):
         raise SpecError("k = 0 is not meaningful for the Jost solution with l >= 1")
-    _check_step(potential, l, k2, grid)
-    h, r = grid.h, grid.r()
-    m = _cutoff_node(potential, grid)
     im_min = float(np.min(k.imag))
     if im_min < 0:
+        m = _cutoff_node(potential, grid)
         _check_strip(potential, grid, m, -im_min)
         # At Im k > 0, ft is the solution that grows inward, which is
         # stable. At Im k < 0 it decays inward, so inside r_c the
         # growing solution can lift rounding by exp(2 |Im k| r_c): in
         # the inward sweep, and in the Wronskian with phi, which grows
         # outward like it.
-        factor = math.exp(-2.0 * im_min * r[m])
+        factor = math.exp(-2.0 * im_min * m * grid.h)
         if factor > _CONDITION_LIMIT:
             warnings.warn(
-                f"Im k < 0 inside the cutoff node r = {r[m]:g} amplifies "
+                f"Im k < 0 inside the cutoff node r = {m * grid.h:g} amplifies "
                 f"rounding by exp(2 |Im k| r) = {factor:.2e}",
                 ConditioningWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
 
+
+def _sweep_jost(potential: Potential, l: int, k, grid: Grid, lo: int) -> np.ndarray:
+    """Values of ft_l on nodes lo..n, shape (n - lo + 1, nk).
+
+    The free solution is filled in from the cutoff node r_c on, and the
+    inward sweep from r_c stops at lo. The values are bit-identical to
+    the same nodes of the full sweep: Numerov is a recurrence along the
+    sweep, and the free solution and w are evaluated node by node.
+    """
+    k = _momenta(k)
+    k2 = k * k
+    _check_jost(potential, l, k, grid)
+    _check_step(potential, l, k2, grid)
+    h, r = grid.h, grid.r()
+    m = _cutoff_node(potential, grid)
     # vals[j] holds node lo + j; the exact free region starts at node m
-    top = max(hi, m)
-    vals = np.empty((top - lo + 1, k.size), dtype=complex)
+    vals = np.empty((grid.n - lo + 1, k.size), dtype=complex)
     stop = max(lo, 1 if l >= 1 else 0)
     free = max(m, 1, lo)
-    vals[free - lo :] = _free_reduced(l, k, r[free : top + 1])
+    vals[free - lo :] = _free_reduced(l, k, r[free:])
     if m == 0 and lo == 0:
         vals[0] = 1.0 if l == 0 else 0.0
     # the smooth pieces inside r_c, the last one clipped there
@@ -330,7 +333,7 @@ def _sweep_jost(
         vals[0] = 0.0
     if not np.all(np.isfinite(vals)):
         raise NumericalError("Jost solution overflowed; momenta too deep for this grid")
-    return vals[: hi - lo + 1]
+    return vals
 
 
 def wronskian(a: np.ndarray, b: np.ndarray, i: int, h: float) -> np.ndarray:
@@ -358,34 +361,51 @@ def jost_function(
 
     F is normalized to 1 at vanishing potential; F(-k*) = F(k)* holds
     by construction and bound states sit at the zeros on the positive
-    imaginary axis.
-
-    Both sweeps stop at the five-node Wronskian window around
-    _wronskian_node, just outside the cutoff node: phi is swept out to
-    its top, and ft is the free solution there for every potential, so
-    F does not depend on r_max. The values are bit-identical to the
-    Wronskian of the full-grid solve_regular and solve_jost_reduced at
-    the same momenta.
+    imaginary axis. F is read on the Jost window (see _jost), so it
+    does not depend on r_max.
     """
     if grid is None:
         grid = make_grid(potential)
-    k = _momenta(k)
-    phi = _sweep_regular(potential, l, k, grid, _wronskian_node(potential, grid) + 2)
-    return _jost_from_regular(potential, l, k, grid, phi)
+    return _jost(potential, l, l, _momenta(k), grid)
+
+
+def _jost(potential: Potential, l_out: int, l: int, k, grid: Grid, minus: bool = False):
+    """F_l(k), and with minus the pair F_l(k), F_l(-k), from one sweep of
+    the outward solution at l_out (l in 3D; -1 even, 0 odd on the line,
+    where F_0 is f'(k, 0) resp. f(k, 0) up to sign).
+
+    The Wronskian is read on the Jost window, the five nodes around
+    _wronskian_node just outside the cutoff node, where ft is the free
+    solution for every potential; the outward solution is swept out to
+    the window's top and no further. The values are bit-identical to
+    the Wronskian of full-grid sweeps at the same momenta.
+    """
+    phi = _sweep_regular(potential, l_out, k, grid, _wronskian_node(potential, grid) + 2)
+    f = _jost_from_regular(potential, l, k, grid, phi)
+    return (f, _jost_from_regular(potential, l, -np.asarray(k), grid, phi)) if minus else f
 
 
 def _jost_from_regular(
     potential: Potential, l: int, k, grid: Grid, phi: np.ndarray
 ) -> np.ndarray:
-    """F_l(k) from regular-solution values phi already swept at momenta
+    """F_l(k) from outward-solution values phi already swept at momenta
     with the same k^2, so phi swept at k serves F(-k) as well: phi
     depends on k only through k^2, and (-k)^2 equals k^2 exactly. phi
-    must reach the top of the Wronskian window, the only nodes of ft
-    computed."""
+    must reach the top of the Jost window, where ft is the free
+    solution."""
     k = _momenta(k)
+    _check_jost(potential, l, k, grid)
     i = _wronskian_node(potential, grid)
-    ft = _sweep_jost(potential, l, k, grid, i - 2, i + 2)
+    ft = _free_reduced(l, k, np.arange(i - 2, i + 3) * grid.h)
     return (-1j * k) ** l * wronskian(ft, phi[i - 2 : i + 3], 2, grid.h)
+
+
+def _regular_and_jost(potential: Potential, l_out: int, l: int, k, grid: Grid):
+    """The outward solution at l_out on the whole grid, with F_l(k) and
+    F_l(-k) read from it."""
+    phi = _sweep_regular(potential, l_out, k, grid)
+    f = _jost_from_regular(potential, l, k, grid, phi)
+    return phi, f, _jost_from_regular(potential, l, -np.asarray(k), grid, phi)
 
 
 def regular_and_jost(
@@ -393,13 +413,9 @@ def regular_and_jost(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """phi_l(k, r), F_l(k) and F_l(-k), all from one regular sweep; on
     the real axis S_l(k) = F_l(-k) / F_l(k)."""
-    k = np.asarray(k)
-    phi = solve_regular(potential, l, k, grid).values
-    return (
-        phi,
-        _jost_from_regular(potential, l, k, grid, phi),
-        _jost_from_regular(potential, l, -k, grid, phi),
-    )
+    if l < 0:
+        raise SpecError("l must be a non-negative integer")
+    return _regular_and_jost(potential, l, l, k, grid)
 
 
 def _matched_state(
@@ -425,7 +441,7 @@ def _matched_state(
     # both five-node stencils stay on the grid
     t = min(max(int(allowed[-1]) + 1 if allowed.size else 0, 2), grid.n - 2)
     phi = _sweep_regular(potential, l_out, k, grid, t + 2)[:, 0].real
-    ft = _sweep_jost(potential, l, k, grid, t - 2, grid.n)[:, 0].real
+    ft = _sweep_jost(potential, l, k, grid, t - 2)[:, 0].real
     a, b = ft[2] * ig.deriv_central(phi, t, h), ig.deriv_central(ft, 2, h) * phi[t]
     mismatch = abs(a - b) / (abs(a) + abs(b))
     # at a true state this is the truncation error of the two sweeps,

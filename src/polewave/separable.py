@@ -45,6 +45,9 @@ __all__ = [
     "winding_number",
 ]
 
+#: points per edge of the winding-number rectangle
+_EDGE_POINTS = 4000
+
 
 @dataclass(frozen=True)
 class SeparableModel:
@@ -187,23 +190,19 @@ def sep_compare_forms(m: SeparableModel, k):
     return float(ours_err), float(gw_err)
 
 
-def winding_number(
-    m: SeparableModel,
-    *,
-    half_width: float | None = None,
-    height: float | None = None,
-    n_per_edge: int = 4000,
-) -> int:
+def winding_number(m: SeparableModel, *, height: float | None = None) -> int:
     """Zeros minus poles of F inside a rectangle in the upper half plane,
-    by the argument principle on its boundary.
+    by the argument principle on its boundary, with _EDGE_POINTS points
+    per edge.
 
-    The default rectangle |Re k| <= 3 beta, 0 < Im k <= 3 beta contains
-    the bound-state zero together with the representative's cancelling
-    zero-pole pair, so the count is 1. The bottom edge is nudged just
-    above the real axis; F has no real zeros to collide with, but the
-    S-matrix unitarity strip is where the phase varies fastest.
+    The rectangle |Re k| <= 3 beta, 0 < Im k <= height (default 3 beta)
+    contains the bound-state zero together with the representative's
+    cancelling zero-pole pair, so the count is 1. The bottom edge is
+    nudged just above the real axis; F has no real zeros to collide
+    with, but the S-matrix unitarity strip is where the phase varies
+    fastest.
     """
-    hw = 3.0 * m.beta if half_width is None else half_width
+    hw = 3.0 * m.beta
     ht = 3.0 * m.beta if height is None else height
     eps = 1e-9 * m.beta
     corners = [
@@ -215,7 +214,7 @@ def winding_number(
     ]
     total = 0.0
     for z0, z1 in zip(corners[:-1], corners[1:]):
-        s = np.linspace(0.0, 1.0, n_per_edge, endpoint=False)
+        s = np.linspace(0.0, 1.0, _EDGE_POINTS, endpoint=False)
         pts = z0 + (z1 - z0) * s
         vals = sep_jost(m, pts)
         ang = np.angle(vals)
@@ -228,6 +227,6 @@ def winding_number(
     if abs(n - rounded) > 1e-3:
         raise SpecError(
             f"argument-principle integral {n:.6f} is not near an integer; "
-            "refine n_per_edge or move the rectangle off a zero or pole"
+            "move the rectangle off a zero or pole"
         )
     return int(rounded)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import polewave
+import polewave._integrate as ig
 from polewave.analytic import SquareWellOracle
 from polewave.onedim import Potential1D, find_bound_1d
 from polewave.potentials import PotentialSpec, make_grid, make_potential
@@ -106,3 +107,17 @@ def oned41_odd(oned41):
 @pytest.fixture(scope="session")
 def sep15():
     return SeparableModel(1.0, 5.0)
+
+
+@pytest.fixture
+def numerov_steps(monkeypatch):
+    """Node x momentum steps marched by the Numerov kernel."""
+    steps = []
+    original = ig.numerov
+
+    def counted(u0, u1, w, h):
+        steps.append(w.shape[0] * (w.shape[1] if w.ndim > 1 else 1))
+        return original(u0, u1, w, h)
+
+    monkeypatch.setattr(ig, "numerov", counted)
+    return steps

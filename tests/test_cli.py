@@ -11,6 +11,8 @@ import pytest
 from polewave.analytic import SquareWellOracle
 from polewave.cli import main
 from polewave.errors import ConditioningWarning
+from polewave.potentials import PotentialSpec, make_grid, make_potential
+from polewave.radial import _cutoff_node
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +64,15 @@ def test_phases_csv_layout(specs, capsys):
     assert float(first[0]) == 0.1
     assert float(first[1]) == pytest.approx(2.9336151173103713, abs=1e-12)
     assert float(first[2]) < 1e-12
+
+
+def test_phases_sweeps_to_the_jost_window(specs, capsys, numerov_steps):
+    """phases reads F(k) on the Jost window and F(-k) as its conjugate:
+    one sweep of its momenta out to the window, whatever r_max is."""
+    assert main(["phases", "--potential", specs["square"], "--ksteps", "5", "--rmax", "12"]) == 0
+    capsys.readouterr()
+    pot = make_potential(PotentialSpec("square", 4.0, 1.0))
+    assert sum(numerov_steps) <= 5 * (_cutoff_node(pot, make_grid(pot, r_max=12.0)) + 8)
 
 
 def test_bound_reports_the_state(specs, capsys):

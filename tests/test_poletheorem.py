@@ -29,11 +29,11 @@ from polewave.poletheorem import (
     gw_extrapolant,
     jost_derivative,
     pole_branch_sign,
-    residue_consistency,
     residue_prediction,
     smatrix_residue,
     wronskian_identity,
 )
+from polewave.potentials import make_grid
 from polewave.radial import jost_on_imaginary_axis, physical_wave, solve_regular
 from polewave.spectrum import find_bound_states
 
@@ -144,6 +144,24 @@ def test_window_crossing_another_pole_is_refused(deep30, deep30_states):
         )
 
 
+def test_clipped_comparison_window_warns(gauss41):
+    """The default window [0.5, 6/alpha] ends at r = 15.45 on the
+    gaussian: clipped at r_max = 12 the residuals depend on r_max, and a
+    warning says so; the default grid reaches past the window."""
+    pot, grid = gauss41
+
+    def compare(g):
+        state = find_bound_states(pot, 0, g)[0]
+        samples = extrapolant_samples_near_pole(pot, 0, state.alpha, g)
+        return compare_to_bound(extrapolate_to_pole(samples), state)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ExtrapolationWarning)
+        compare(grid)
+    with pytest.warns(ExtrapolationWarning, match="r = 15.45, beyond r_max = 12"):
+        compare(make_grid(pot, h=grid.h, r_max=12.0))
+
+
 def test_comparison_guards(sq41, sq41_states, deep30_states):
     pot, grid = sq41
     samples = extrapolant_samples_near_pole(pot, 0, sq41_states[0].alpha, grid)
@@ -179,8 +197,11 @@ def test_residue_real_axis_fit(sq41, sq41_states):
 
 def test_residue_methods_agree(sq41, sq41_states):
     pot, grid = sq41
-    a, b, disagree = residue_consistency(pot, 0, sq41_states[0].alpha, grid)
-    assert not disagree
+    a, b = (
+        smatrix_residue(pot, 0, sq41_states[0].alpha, grid, method)
+        for method in ("imaginary_axis", "real_axis_fit")
+    )
+    assert abs(a.value - b.value) / max(abs(a.value), abs(b.value)) <= 1e-2
     assert a.method == "imaginary_axis" and b.method == "real_axis_fit"
 
 

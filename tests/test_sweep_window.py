@@ -13,7 +13,6 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-import polewave._integrate as ig
 import polewave.spectrum as spectrum
 from polewave.errors import ConditioningWarning
 from polewave.onedim import (
@@ -23,14 +22,16 @@ from polewave.onedim import (
     find_bound_1d,
     smatrix_1d,
 )
+from polewave.poletheorem import _LADDER_POINTS, smatrix_residue
 from polewave.radial import (
     _cutoff_node,
+    _jost,
+    _sweep_regular,
     _wronskian_node,
     jost_function,
     jost_on_imaginary_axis,
     regular_and_jost,
     solve_jost_reduced,
-    solve_regular,
     wronskian,
 )
 from polewave.spectrum import build_bound_state, find_bound_states
@@ -41,10 +42,11 @@ K_UP = 1j * np.array([0.4, 1.5, 3.0])
 K_DOWN = -1j * np.array([0.3, 1.2])
 
 
-def _full_grid_jost(pot, l, k, grid):
-    """F_l(k) from the full-grid regular and Jost solutions."""
+def _full_grid_jost(pot, l, k, grid, l_out=None):
+    """F_l(k) from the full-grid Jost solution and the full-grid outward
+    solution at l_out (default l; -1 is the even solution on the line)."""
     ft = solve_jost_reduced(pot, l, k, grid).values
-    phi = solve_regular(pot, l, k, grid).values
+    phi = _sweep_regular(pot, l if l_out is None else l_out, k, grid)
     return (-1j * k) ** l * wronskian(ft, phi, _wronskian_node(pot, grid), grid.h)
 
 
@@ -55,13 +57,21 @@ def test_jost_function_is_bit_identical_to_the_full_sweeps(well, l, request):
     momenta = [K_REAL, K_UP] + ([K_DOWN] if well != "exp905" else [])
     for k in momenta:
         assert np.array_equal(jost_function(pot, l, k, grid), _full_grid_jost(pot, l, k, grid))
+        # F(-k) from the same window sweep: -K_UP lies outside exp905's
+        # strip, and e^{2 |Im k| r_c} reaches 1e14 there on gauss41
+        if well == "exp905" and k is K_UP:
+            continue
+        with pytest.warns(ConditioningWarning) if well == "gauss41" and k is K_UP else nullcontext():
+            f_dn = _jost(pot, l, l, k, grid, minus=True)[1]
+            assert np.array_equal(f_dn, _full_grid_jost(pot, l, -k, grid))
 
 
 @pytest.mark.parametrize("well", ["sq41", "gauss41"])
 def test_line_channels_read_the_jost_window(well, request):
     """The odd channel is the radial s wave bit for bit, the even
-    condition is the closed form on the square well, and both S
-    matrices are unimodular on the real axis."""
+    condition is the closed form on the square well, both S matrices
+    are unimodular on the real axis, and the even channel's F(k) and
+    F(-k) are the Wronskians of full-grid sweeps bit for bit."""
     pot, grid = request.getfixturevalue(well)
     p = Potential1D(pot)
     kappa = np.array([0.3, 1.0, 1.7])
@@ -72,30 +82,19 @@ def test_line_channels_read_the_jost_window(well, request):
         bigk = np.sqrt(4.0 - kappa**2)
         even = np.exp(-kappa) * (bigk * np.sin(bigk) - kappa * np.cos(bigk))
         np.testing.assert_allclose(_parity_condition(p, "even", kappa, grid), even, rtol=1e-8)
-    for k in (K_REAL, K_UP):
+    for k in (K_REAL, K_UP, K_DOWN):
         # S at K_UP needs f at -K_UP, where e^{2 |Im k| r_c} reaches
         # 1e14 on gauss41 (r_c = 5.38)
         deep = well == "gauss41" and k is K_UP
         with pytest.warns(ConditioningWarning) if deep else nullcontext():
             _, f_up, f_dn = regular_and_jost(pot, 0, k, grid)
             s_even, s_odd = smatrix_1d(p, "even", k, grid), smatrix_1d(p, "odd", k, grid)
+            even_up, even_dn = _jost(pot, -1, 0, k, grid, minus=True)
+            assert np.array_equal(even_up, _full_grid_jost(pot, 0, k, grid, l_out=-1))
+            assert np.array_equal(even_dn, _full_grid_jost(pot, 0, -k, grid, l_out=-1))
         assert np.array_equal(s_odd, f_dn / f_up)
         if k is K_REAL:
             assert np.max(np.abs(np.abs([s_even, s_odd]) - 1.0)) <= 1e-14
-
-
-@pytest.fixture
-def numerov_steps(monkeypatch):
-    """Node x momentum steps marched by the Numerov kernel."""
-    steps = []
-    original = ig.numerov
-
-    def counted(u0, u1, w, h):
-        steps.append(w.shape[0] * (w.shape[1] if w.ndim > 1 else 1))
-        return original(u0, u1, w, h)
-
-    monkeypatch.setattr(ig, "numerov", counted)
-    return steps
 
 
 @pytest.mark.parametrize("well", ["sq41", "gauss41", "exp905"])
@@ -106,6 +105,17 @@ def test_jost_sweeps_to_the_wronskian_window(well, request, numerov_steps):
     pot, grid = request.getfixturevalue(well)
     jost_on_imaginary_axis(pot, 0, 1.0, grid)
     assert sum(numerov_steps) <= _cutoff_node(pot, grid) + 8
+
+
+@pytest.mark.parametrize("well", ["sq41", "deep30", "gauss41"])
+def test_imaginary_axis_residue_sweeps_to_the_window(well, request, numerov_steps):
+    """The residue ladder reads F(i kappa) and F(-i kappa) on the Jost
+    window: one sweep of its _LADDER_POINTS momenta out to the window."""
+    pot, grid = request.getfixturevalue(well)
+    alpha = find_bound_states(pot, 0, grid)[0].alpha
+    numerov_steps.clear()
+    smatrix_residue(pot, 0, alpha, grid, "imaginary_axis")
+    assert sum(numerov_steps) <= _LADDER_POINTS * (_cutoff_node(pot, grid) + 8)
 
 
 @pytest.mark.parametrize("well, l", [("sq41", 0), ("gauss41", 0), ("exp905", 0), ("sq60", 3)])
