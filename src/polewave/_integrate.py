@@ -5,8 +5,9 @@ potential discontinuity.
 Everything here works on arrays whose leading axis runs over grid nodes
 and whose trailing axis (if any) is a batch of momenta. The columns of a
 batch never interact, but a Numerov sweep takes one of two paths by the
-batch width, so a column's rounding depends on which side of _WIDE its
-batch lies (see numerov).
+batch width, and runs in float or complex arithmetic by its dtypes, so a
+column's rounding depends on which side of _WIDE its batch lies and on
+whether the batch is real (see numerov).
 """
 
 from __future__ import annotations
@@ -22,13 +23,19 @@ _WIDE = 32
 _BLOCK = 32
 
 
-def numerov(u0, u1, w, h: float) -> np.ndarray:
-    """March u'' = w u across the nodes of w (leading axis).
+def numerov(u0, u1, w, h: float, out=None) -> np.ndarray:
+    """March u'' = w u across the nodes of w (leading axis) and return
+    the values.
 
     u0 and u1 are the values on the first two nodes, in marching order;
-    for an inward sweep pass w reversed and flip the result. The local
-    error is O(h^6), the global error O(h^4). w is consumed: it must be a
-    fresh float or complex array, and g = 1 - h^2 w / 12 is built in it.
+    for an inward sweep pass w reversed and a reversed view as out. The
+    local error is O(h^6), the global error O(h^4). w is consumed: it
+    must be a fresh float or complex array, and g = 1 - h^2 w / 12 is
+    built in it. The values are written into out, an array of w's shape
+    whose first two rows may be u0 and u1 themselves, or else into a new
+    array. The march runs in the dtypes of w and of the values: float64
+    throughout where w and the seeds are real, as the radial sweeps make
+    them wherever every k^2 of a batch is real.
 
     The recurrence is g[j+1] u[j+1] = c[j] u[j] - g[j-1] u[j-1] with
     c = 12 - 10 g. A batch of more than _WIDE momenta runs it node by
@@ -58,6 +65,22 @@ def numerov(u0, u1, w, h: float) -> np.ndarray:
          300     48       0.87     1.2x     1.0x     0.7x
          100      1       0.26     1.0x     0.6x     0.3x
 
+    In float64 against complex, ms per call, median of 7 to 15 (2 vCPU,
+    numpy 2.4.6, one run; timings on that host vary by tens of percent
+    between runs). From 8 momenta up float saves 10 to 60 %, on both
+    paths:
+
+        nodes  momenta     loop ms          blocked ms
+                        complex  float    complex  float
+        6401      1       34.5   33.8       2.6    2.5
+        6401      8       37.7   33.4       6.1    4.6
+        6401     32       26.6   20.9      14.9    6.6
+        6401     64       30.4   20.8      24.1   10.2
+        6401    300       64.8   36.7
+       12801    300      132.9   78.0
+        1381      1        4.0    4.7       0.64   0.61
+        1381     32        5.1    4.2       2.6    1.6
+
     Rounding, as the largest error over the column's maximum against a
     long-double run of the same recurrence on the same g and c, over 128
     regular sweeps of five wells (l = 0 and 2, 8 momenta): the row loop
@@ -70,7 +93,7 @@ def numerov(u0, u1, w, h: float) -> np.ndarray:
     g = w
     g *= -(h * h / 12.0)
     g += 1.0
-    u = np.empty(w.shape, dtype=np.result_type(u0, u1, w, float))
+    u = np.empty(w.shape, dtype=np.result_type(u0, u1, w, float)) if out is None else out
     u[0] = u0
     u[1] = u1
     if u[0].size > _WIDE:

@@ -130,10 +130,10 @@ def solve_parity(p: Potential1D, parity: str, k, grid: Grid | None = None) -> Pa
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if np.any(k <= 0):
         raise SpecError("solve_parity wants real k > 0")
-    y = _sweep_regular(p.half, _L_OUT[parity], k, grid).real
+    y = _sweep_regular(p.half, _L_OUT[parity], k, grid)
     x_top = grid.r_max
     y_top = y[-1]
-    dy_top = ig.deriv_backward(y, grid.n, grid.h).real
+    dy_top = ig.deriv_backward(y, grid.n, grid.h)
     if parity == "even":
         # y -> A cos(k x + delta): phase from (y, -y'/k)
         phase = np.arctan2(-dy_top, k * y_top) - k * x_top
@@ -272,7 +272,6 @@ def extrapolant_samples_1d(
     t, k = _sample_window(alpha, n_samples, spacing, mode)
     y, f_up, f_dn = _regular_and_jost(p.half, _L_OUT[parity], 0, k, grid)
     w = (f_up * f_dn).real
-    y = y.real
     sigma = _branch_sign(lambda kappa: _parity_condition(p, parity, kappa, grid), alpha)
     asym = 1.0 if parity == "even" else -1.0
     mode_name = "imaginary" if mode == "near" else "real"

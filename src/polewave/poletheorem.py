@@ -58,6 +58,9 @@ from .radial import (
     PhysicalWave,
     _jost,
     _jost_from_regular,
+    _jost_rounding,
+    _sweep_regular,
+    _window_top,
     jost_function,
     jost_on_imaginary_axis,
     regular_and_jost,
@@ -211,7 +214,7 @@ def extrapolant_samples(
     d = (f * np.conj(f)).real
     s = pole_branch_sign(potential, l, alpha, grid)
     pref = alpha**l * math.sqrt(2.0 * alpha) * np.sqrt(alpha**2 + t)
-    return _extrapolant(grid, l, alpha, "real", t, phi.real, d, s, pref)
+    return _extrapolant(grid, l, alpha, "real", t, phi, d, s, pref)
 
 
 def extrapolant_samples_near_pole(
@@ -249,7 +252,7 @@ def extrapolant_samples_near_pole(
     s = pole_branch_sign(potential, l, alpha, grid)
     pref = alpha**l * math.sqrt(2.0 * alpha) * np.sqrt(alpha**2 + t)
     d = (f_up * f_dn).real
-    return _extrapolant(grid, l, alpha, "imaginary", t, phi.real, d, s, pref)
+    return _extrapolant(grid, l, alpha, "imaginary", t, phi, d, s, pref)
 
 
 @dataclass
@@ -464,14 +467,16 @@ class JostDerivative:
 
 def _stencil_derivatives(
     potential: Potential, l: int, k, grid: Grid, fractions: tuple[float, ...]
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """dF_l/dk at every momentum of k by five-point differencing along
-    the axis each momentum lies on, with steps fractions x _REL_STEP |k|;
-    row i of the result holds the step fractions[i]. Every stencil goes
-    through one jost_function call; the columns of a batch do not
-    interact, so each difference is what a sweep of its own would give,
-    up to rounding: a batch of at most _integrate._WIDE momenta is marched
-    in blocks, a wider one node by node (see numerov)."""
+    the axis each momentum lies on, with steps fractions x _REL_STEP |k|,
+    and the rounding of each difference, the rounding of every F
+    (_jost_rounding) carried through the stencil weights; row i of both
+    holds the step fractions[i]. Every stencil goes through one sweep to
+    the Jost window; the columns of a batch do not interact, so each
+    difference is what a sweep of its own would give, up to rounding: a
+    batch of at most _integrate._WIDE momenta is marched in blocks, a
+    wider one node by node (see numerov)."""
     k = np.atleast_1d(np.asarray(k, dtype=complex))
     if np.any(k == 0):
         raise SpecError("the Jost derivative needs k != 0")
@@ -480,8 +485,13 @@ def _stencil_derivatives(
     stencil = np.array([-2.0, -1.0, 1.0, 2.0])
     weights = np.array([1.0, -8.0, 8.0, -1.0])
     ks = k[:, None] + steps[..., None] * stencil
-    f = jost_function(potential, l, ks.ravel(), grid).reshape(ks.shape)
-    return (f * weights).sum(axis=-1) / (12.0 * steps)
+    ks = ks.ravel()
+    phi = _sweep_regular(potential, l, ks, grid, _window_top(potential, grid))
+    f = _jost_from_regular(potential, l, ks, grid, phi).reshape(steps.shape + (4,))
+    rounding = _jost_rounding(potential, l, ks, grid, phi).reshape(f.shape)
+    scale = 12.0 * steps
+    d = (f * weights).sum(axis=-1) / scale
+    return d, (rounding * np.abs(weights)).sum(axis=-1) / np.abs(scale)
 
 
 def jost_derivative(
@@ -491,10 +501,11 @@ def jost_derivative(
     grid: Grid,
 ) -> JostDerivative:
     """dF_l/dk at k0 by five-point differencing along the axis k0 lies
-    on, with step halving for an error estimate; both stencils share one
-    sweep of 8 momenta."""
-    d_half, d_full = _stencil_derivatives(potential, l, k0, grid, (0.5, 1.0))[:, 0]
-    return JostDerivative(complex(d_half), float(abs(d_half - d_full) / 15.0))
+    on; both stencils share one sweep of 8 momenta. The error is the
+    step-halving estimate plus the rounding of the half-step difference."""
+    d, rounding = _stencil_derivatives(potential, l, k0, grid, (0.5, 1.0))
+    d_half, d_full = d[:, 0]
+    return JostDerivative(complex(d_half), float(abs(d_half - d_full) / 15.0 + rounding[0, 0]))
 
 
 @dataclass
@@ -530,7 +541,7 @@ def gw_extrapolant(
     F(-k); one more, of the stencils of every momentum, serves F'."""
     k = np.atleast_1d(np.asarray(k, dtype=complex))
     phi, f, f_dn = regular_and_jost(potential, 0, k, grid)
-    fdot = _stencil_derivatives(potential, 0, k, grid, (0.5,))[0]
+    fdot = _stencil_derivatives(potential, 0, k, grid, (0.5,))[0][0]
     pref = np.sqrt(4j * alpha**2 * f / fdot)
     # the wave normalization |F| continues off the real axis as
     # sqrt(F(k) F(-k)), which vanishes with F at the pole and keeps the

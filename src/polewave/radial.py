@@ -56,8 +56,18 @@ def _momenta(k) -> np.ndarray:
     return k
 
 
-def _check_step(potential: Potential, l: int, k2: np.ndarray, grid: Grid) -> None:
-    umax = float(np.max(np.abs(potential(grid.r()))))
+def _squares(k: np.ndarray) -> np.ndarray:
+    """k^2 of a batch, in float64 where every k^2 is real: on the real
+    and the imaginary axis, mixed or not. The radial equation is real
+    there, and the sweeps run in real arithmetic."""
+    k2 = k * k
+    return k2 if np.any(k2.imag) else k2.real
+
+
+def _check_step(potential: Potential, k2: np.ndarray, grid: Grid, lo: int, hi: int) -> None:
+    """Refuse a grid too coarse for the nodes lo..hi that a sweep
+    marches: q h <= 0.5 for the largest local momentum q there."""
+    umax = float(np.max(np.abs(potential(grid.r()[lo : hi + 1])), initial=0.0))
     q = math.sqrt(float(np.max(np.abs(k2))) + umax)
     if q * grid.h > 0.5:
         raise StepSizeError(
@@ -114,9 +124,8 @@ def _sided_w(potential: Potential, l: int, r0: float, side: int, k2: np.ndarray)
 class RadialSolution:
     """Values of one solution family on a grid, batched over momenta.
 
-    values has shape (n_nodes, n_k) and complex dtype; on the imaginary
-    k axis the imaginary parts are exact zeros, so .real is lossless
-    there.
+    values has shape (n_nodes, n_k); its dtype is float64 where every
+    k^2 of the batch is real, else complex.
     """
 
     grid: Grid
@@ -158,16 +167,17 @@ def _sweep_regular(
     The first two nodes come from the origin series, the origin itself
     included at l = -1 where the solution does not vanish there. Numerov
     is a forward recurrence, so stopping at top leaves every value it
-    does compute bit-identical to the full sweep.
+    does compute bit-identical to the full sweep. The values are float64
+    where every k^2 is real (_squares), else complex.
     """
     k = _momenta(k)
-    k2 = k * k
-    _check_step(potential, l, k2, grid)
+    k2 = _squares(k)
     top = grid.n if top is None else top
+    _check_step(potential, k2, grid, 0, top)
     h, r = grid.h, grid.r()
     seed = _origin_series(potential, l, k2)
     s = 0 if l < 0 else 1
-    vals = np.empty((top + 1, k.size), dtype=complex)
+    vals = np.empty((top + 1, k.size), dtype=k2.dtype)
     vals[0] = 0.0
     for i0, i1, fn in _domains(potential, grid):
         if i0 >= top:
@@ -177,12 +187,12 @@ def _sweep_regular(
         if i0 == 0:
             vals[s] = seed(r[s])
             vals[s + 1] = seed(r[s + 1])
-            vals[s : i1 + 1] = ig.numerov(vals[s], vals[s + 1], w[s:], h)
+            ig.numerov(vals[s], vals[s + 1], w[s:], h, out=vals[s : i1 + 1])
         else:
             du = ig.deriv_backward(vals, i0, h)
             w0, w1, w2 = _sided_w(potential, l, r[i0], +1, k2)
             vals[i0 + 1] = ig.taylor_step(vals[i0], du, h, w0, w1, w2)
-            vals[i0 : i1 + 1] = ig.numerov(vals[i0], vals[i0 + 1], w, h)
+            ig.numerov(vals[i0], vals[i0 + 1], w, h, out=vals[i0 : i1 + 1])
     if not np.all(np.isfinite(vals)):
         raise NumericalError("regular solution overflowed; reduce r_max or check inputs")
     return vals
@@ -201,14 +211,20 @@ def solve_regular(potential: Potential, l: int, k, grid: Grid) -> RadialSolution
     return RadialSolution(grid, l, k, _sweep_regular(potential, l, k, grid))
 
 
+def _on_imaginary_axis(k: np.ndarray, ft: np.ndarray) -> np.ndarray:
+    """ft, as float64 where every k lies on the imaginary axis: ft is
+    real there, and the imaginary parts dropped are exact zeros."""
+    return ft if np.any(k.real) else ft.real
+
+
 def _free_reduced(l: int, k: np.ndarray, r_sl: np.ndarray) -> np.ndarray:
     """Reduced free Jost solution i^{l+1} hhat_l^+(k r) on a node slice."""
     z = k[None, :] * r_sl[:, None]
-    return (1j) ** (l + 1) * hhat_plus(l, z)
+    return _on_imaginary_axis(k, (1j) ** (l + 1) * hhat_plus(l, z))
 
 
 def _free_reduced_d(l: int, k: np.ndarray, r0: float) -> np.ndarray:
-    return (1j) ** (l + 1) * k * hhat_plus_d(l, k * r0)
+    return _on_imaginary_axis(k, (1j) ** (l + 1) * k * hhat_plus_d(l, k * r0))
 
 
 def solve_jost_reduced(potential: Potential, l: int, k, grid: Grid) -> RadialSolution:
@@ -300,18 +316,22 @@ def _sweep_jost(potential: Potential, l: int, k, grid: Grid, lo: int) -> np.ndar
     inward sweep from r_c stops at lo. The values are bit-identical to
     the same nodes of the full sweep: Numerov is a recurrence along the
     sweep, and the free solution and w are evaluated node by node.
+
+    On the imaginary axis ft is real and so are the values
+    (_on_imaginary_axis); elsewhere they are complex.
     """
     k = _momenta(k)
-    k2 = k * k
+    k2 = _squares(k)
     _check_jost(potential, l, k, grid)
-    _check_step(potential, l, k2, grid)
     h, r = grid.h, grid.r()
     m = _cutoff_node(potential, grid)
-    # vals[j] holds node lo + j; the exact free region starts at node m
-    vals = np.empty((grid.n - lo + 1, k.size), dtype=complex)
+    _check_step(potential, k2, grid, lo, m)
     stop = max(lo, 1 if l >= 1 else 0)
     free = max(m, 1, lo)
-    vals[free - lo :] = _free_reduced(l, k, r[free:])
+    ft = _free_reduced(l, k, r[free:])
+    # vals[j] holds node lo + j; the exact free region starts at node m
+    vals = np.empty((grid.n - lo + 1, k.size), dtype=ft.dtype)
+    vals[free - lo :] = ft
     if m == 0 and lo == 0:
         vals[0] = 1.0 if l == 0 else 0.0
     # the smooth pieces inside r_c, the last one clipped there
@@ -327,8 +347,8 @@ def _sweep_jost(potential: Potential, l: int, k, grid: Grid, lo: int) -> np.ndar
         vals[i1 - 1 - lo] = ig.taylor_step(vals[i1 - lo], du, -h, w0, w1, w2)
         i_lo = max(i0, stop)
         w_rev = _w_block(fn, r[i_lo : i1 + 1], l, k2)[::-1]
-        swept = ig.numerov(vals[i1 - lo], vals[i1 - 1 - lo], w_rev, h)
-        vals[i_lo - lo : i1 + 1 - lo] = swept[::-1]
+        into = vals[i_lo - lo : i1 + 1 - lo][::-1]
+        ig.numerov(vals[i1 - lo], vals[i1 - 1 - lo], w_rev, h, out=into)
     if l >= 1 and lo == 0:
         vals[0] = 0.0
     if not np.all(np.isfinite(vals)):
@@ -349,6 +369,12 @@ def _wronskian_node(potential: Potential, grid: Grid) -> int:
     instead, away from the origin where ft diverges for l >= 1."""
     m = _cutoff_node(potential, grid)
     return m + 2 if m > 0 else grid.n // 2
+
+
+def _window_top(potential: Potential, grid: Grid) -> int:
+    """The top node of the Jost window, the last the outward solution
+    is swept to for F."""
+    return _wronskian_node(potential, grid) + 2
 
 
 def jost_function(
@@ -380,7 +406,7 @@ def _jost(potential: Potential, l_out: int, l: int, k, grid: Grid, minus: bool =
     the window's top and no further. The values are bit-identical to
     the Wronskian of full-grid sweeps at the same momenta.
     """
-    phi = _sweep_regular(potential, l_out, k, grid, _wronskian_node(potential, grid) + 2)
+    phi = _sweep_regular(potential, l_out, k, grid, _window_top(potential, grid))
     f = _jost_from_regular(potential, l, k, grid, phi)
     return (f, _jost_from_regular(potential, l, -np.asarray(k), grid, phi)) if minus else f
 
@@ -398,6 +424,23 @@ def _jost_from_regular(
     i = _wronskian_node(potential, grid)
     ft = _free_reduced(l, k, np.arange(i - 2, i + 3) * grid.h)
     return (-1j * k) ** l * wronskian(ft, phi[i - 2 : i + 3], 2, grid.h)
+
+
+def _jost_rounding(potential: Potential, l: int, k, grid: Grid, phi: np.ndarray) -> np.ndarray:
+    """The rounding of F_l(k) read from phi as in _jost_from_regular.
+
+    F is the difference of the Wronskian's two products k^l ft phi' and
+    k^l ft' phi, which cancel near a zero of F, so their magnitudes set
+    the scale. The rounding of a two-step recurrence like Numerov's grows
+    statistically like n^{3/2} eps over n nodes (P. Henrici, Discrete
+    Variable Methods in Ordinary Differential Equations, Wiley 1962),
+    here the nodes swept out to the window."""
+    k = _momenta(k)
+    i, h = _wronskian_node(potential, grid), grid.h
+    ft = _free_reduced(l, k, np.arange(i - 2, i + 3) * h)
+    terms = np.abs(ft[2] * ig.deriv_central(phi, i, h))
+    terms += np.abs(ig.deriv_central(ft, 2, h) * phi[i])
+    return (i + 3) ** 1.5 * np.finfo(float).eps * np.abs(k) ** l * terms
 
 
 def _regular_and_jost(potential: Potential, l_out: int, l: int, k, grid: Grid):
@@ -440,8 +483,8 @@ def _matched_state(
     allowed = np.flatnonzero(pot_r + l * (l + 1) / r**2 + alpha**2 < 0)
     # both five-node stencils stay on the grid
     t = min(max(int(allowed[-1]) + 1 if allowed.size else 0, 2), grid.n - 2)
-    phi = _sweep_regular(potential, l_out, k, grid, t + 2)[:, 0].real
-    ft = _sweep_jost(potential, l, k, grid, t - 2)[:, 0].real
+    phi = _sweep_regular(potential, l_out, k, grid, t + 2)[:, 0]
+    ft = _sweep_jost(potential, l, k, grid, t - 2)[:, 0]
     a, b = ft[2] * ig.deriv_central(phi, t, h), ig.deriv_central(ft, 2, h) * phi[t]
     mismatch = abs(a - b) / (abs(a) + abs(b))
     # at a true state this is the truncation error of the two sweeps,
@@ -524,8 +567,9 @@ def physical_wave(
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if np.any(k <= 0):
         raise SpecError("physical_wave is defined for real k > 0")
-    phi = solve_regular(potential, l, k, grid).values
-    fvals = _jost_from_regular(potential, l, k, grid, phi)
-    v = (k**l)[None, :] * phi.real
-    v /= np.abs(fvals)[None, :]  # in place: one wave-sized array, not two
+    v = solve_regular(potential, l, k, grid).values
+    fvals = _jost_from_regular(potential, l, k, grid, v)
+    # in place: the real sweep's array becomes the wave
+    v *= (k**l)[None, :]
+    v /= np.abs(fvals)[None, :]
     return PhysicalWave(grid, l, k, v, fvals, -np.angle(fvals))

@@ -115,9 +115,10 @@ def numerov_steps(monkeypatch):
     steps = []
     original = ig.numerov
 
-    def counted(u0, u1, w, h):
+    def counted(*args, **kwargs):
+        w = args[2]
         steps.append(w.shape[0] * (w.shape[1] if w.ndim > 1 else 1))
-        return original(u0, u1, w, h)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(ig, "numerov", counted)
     return steps

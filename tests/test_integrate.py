@@ -40,22 +40,26 @@ def test_simpson_refuses_two_nodes():
 H = 1.0 / 256.0
 #: real, imaginary and complex momenta; 6i grows by e^{0.75} per block
 K_MIXED = np.array([0.3j, 1j, 3j, 6j, 0.5, 2.0, 8.0, 1.0 + 1.0j])
+#: the momenta of K_MIXED on the two axes, where k^2 is real
+K_AXES = K_MIXED[:-1]
 
 
-def _sweep_input(n, k, l=0):
+def _sweep_input(n, k, l=0, dtype=complex):
     """Seeds and w = U + l(l+1)/r^2 - k^2 of a gaussian well on the
-    nodes r = h, 2h, ..., nh, as the radial sweeps build them."""
-    k = np.atleast_1d(k)
+    nodes r = h, 2h, ..., nh, as the radial sweeps build them; float
+    ones for momenta whose k^2 is real."""
+    k2 = np.atleast_1d(k) ** 2
+    k2 = k2.real if dtype is float else k2
     r = H * np.arange(1, n + 1)
-    w = (-4.0 * np.exp(-r * r) + l * (l + 1) / (r * r))[:, None] - k * k
-    u0 = np.full(k.shape, r[0] ** (l + 1), dtype=complex)
-    u1 = np.full(k.shape, r[1] ** (l + 1), dtype=complex)
+    w = (-4.0 * np.exp(-r * r) + l * (l + 1) / (r * r))[:, None] - k2
+    u0 = np.full(k2.shape, r[0] ** (l + 1), dtype=dtype)
+    u1 = np.full(k2.shape, r[1] ** (l + 1), dtype=dtype)
     return u0, u1, w
 
 
 def _row_loop(u0, u1, w, h, dtype=complex):
-    """numerov's node-by-node recurrence on the float64 g and c, carried
-    in the given dtype."""
+    """numerov's node-by-node recurrence on g and c built in w's dtype,
+    carried in the given dtype."""
     g = 1.0 - (h * h / 12.0) * w
     c = 12.0 - 10.0 * g
     g, c = g.astype(dtype), c.astype(dtype)
@@ -99,6 +103,29 @@ def test_blocked_march_rounds_like_the_row_loop(l, batch):
         assert np.all(gap <= err_loop + bound)
 
 
+@pytest.mark.parametrize("l", [0, 2])
+@pytest.mark.parametrize("batch", ["one", "all"])
+def test_float_paths_round_within_the_complex_bounds(l, batch):
+    """Where every k^2 is real, both paths run in float64 on real w and
+    real seeds. Against a long-double run of the same recurrence, each
+    float path stays within the bound the complex test above sets for
+    the blocked march: 16 x max(complex loop error, n eps)."""
+    n = 3000
+    batches = [K_AXES[i : i + 1] for i in range(K_AXES.size)] if batch == "one" else [K_AXES]
+    floor = n * np.finfo(float).eps
+    for k in batches:
+        u0, u1, w = _sweep_input(n, k, l)
+        ref = _row_loop(u0, u1, w, H, dtype=np.clongdouble)
+        scale = np.max(np.abs(ref), axis=0)
+        err_loop = (np.max(np.abs(_row_loop(u0, u1, w, H) - ref), axis=0) / scale).astype(float)
+        bound = 16.0 * np.maximum(err_loop, floor)
+        u0, u1, w = _sweep_input(n, k, l, float)
+        ref = _row_loop(u0, u1, w, H, dtype=np.longdouble)
+        for u in (_row_loop(u0, u1, w, H, dtype=float), numerov(u0, u1, w.copy(), H)):
+            assert u.dtype == float
+            assert np.all((np.max(np.abs(u - ref), axis=0) / scale).astype(float) <= bound)
+
+
 @pytest.mark.parametrize("nk", [1, _WIDE])
 def test_blocked_sweeps_are_prefixes_of_longer_ones(nk):
     """A sweep cut at any node equals the same nodes of the longer sweep
@@ -109,4 +136,34 @@ def test_blocked_sweeps_are_prefixes_of_longer_ones(nk):
     assert np.array_equal(full[0], u0) and np.array_equal(full[1], u1)
     for n in range(3, w.shape[0]):
         assert np.array_equal(numerov(u0, u1, w[:n].copy(), H), full[:n]), n
+
+
+@pytest.mark.parametrize("nk", [1, _WIDE, _WIDE + 1])
+def test_float_sweeps_are_prefixes_of_longer_ones(nk):
+    """The prefix identity in float arithmetic, on both paths; above
+    _WIDE momenta the float sweep is the row loop bit for bit."""
+    u0, u1, w = _sweep_input(3 * _BLOCK + 5, np.resize(K_AXES, nk), dtype=float)
+    full = numerov(u0, u1, w.copy(), H)
+    assert full.dtype == float
+    if nk > _WIDE:
+        assert np.array_equal(full, _row_loop(u0, u1, w, H, dtype=float))
+    for n in range(3, w.shape[0]):
+        assert np.array_equal(numerov(u0, u1, w[:n].copy(), H), full[:n]), n
+
+
+@pytest.mark.parametrize("nk", [1, _WIDE + 1])
+def test_numerov_fills_the_array_it_is_given(nk):
+    """With out, numerov writes the values into out and returns it: the
+    same bits as a new array, also for an inward sweep into a reversed
+    view whose first two rows are the seeds themselves."""
+    u0, u1, w = _sweep_input(200, np.resize(K_AXES, nk), dtype=float)
+    ref = numerov(u0, u1, w.copy(), H)
+    out = np.empty_like(ref)
+    assert numerov(u0, u1, w.copy(), H, out=out) is out
+    assert np.array_equal(out, ref)
+    vals = np.empty_like(ref)
+    into = vals[::-1]
+    into[0], into[1] = u0, u1
+    numerov(into[0], into[1], w.copy(), H, out=into)
+    assert np.array_equal(vals[::-1], ref)
 

@@ -13,6 +13,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
+import polewave._integrate as ig
 from polewave.analytic import SquareWellOracle
 from polewave.errors import (
     ConditioningWarning,
@@ -226,6 +227,20 @@ def test_residue_method_guards(gauss41, sq41, sq41_states):
     pot, grid = sq41
     with pytest.raises(SpecError):
         smatrix_residue(pot, 0, sq41_states[0].alpha, grid, "saddle")
+
+
+def test_jost_derivative_error_covers_both_kernel_paths(gauss41, monkeypatch):
+    """The error of dF/dk covers its rounding as well as its truncation:
+    the two Numerov paths round differently, and on gauss41 they differ
+    by at most the error either path reports, 60 momenta on each axis.
+    Without the rounding term the gap reached 14.5x the error (0.8i)."""
+    pot, grid = gauss41
+    ks = np.concatenate([np.linspace(0.1, 3.0, 60), 1j * np.linspace(0.1, 3.0, 60)])
+    blocked = [jost_derivative(pot, 0, k, grid) for k in ks]
+    monkeypatch.setattr(ig, "_WIDE", 0)
+    loop = [jost_derivative(pot, 0, k, grid) for k in ks]
+    for k, a, b in zip(ks, blocked, loop):
+        assert abs(a.value - b.value) <= min(a.error, b.error), k
 
 
 def test_jost_derivative_against_closed_form(sq41, sq41_states):

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polewave._riccati import hhat_plus, hhat_plus_d
 from polewave.analytic import SquareWellOracle
 from polewave.errors import SpecError, StepSizeError
-from polewave.potentials import Free, PotentialSpec, make_grid, make_potential
+from polewave.potentials import Free, Potential, PotentialSpec, make_grid, make_potential
 from polewave.radial import (
+    _sweep_jost,
+    _sweep_regular,
+    _window_top,
     jost_function,
     jost_on_imaginary_axis,
     phase_shift,
@@ -89,6 +93,60 @@ def test_step_size_guard():
     grid = make_grid(pot, h=1 / 16)
     with pytest.raises(StepSizeError):
         jost_function(pot, 0, np.array([1.0]), grid)
+
+
+def test_step_check_evaluates_only_the_swept_nodes(sq41, monkeypatch):
+    """A Jost-window sweep of sq41 marches nodes 0..260 of 6400, and the
+    step check evaluates U on those nodes only."""
+    pot, grid = sq41
+    points = []
+    original = Potential.__call__
+
+    def counted(self, r):
+        points.append(np.size(r))
+        return original(self, r)
+
+    monkeypatch.setattr(Potential, "__call__", counted)
+    jost_function(pot, 0, np.array([0.5, 1.5j]), grid)
+    assert (_window_top(pot, grid), grid.n) == (260, 6400)
+    assert sum(points) == 261
+
+
+AXES = {
+    "real": (np.array([0.3, 1.1, 2.7]), float),
+    "imaginary": (np.array([0.4j, 1.5j, -0.3j]), float),
+    "mixed": (np.array([0.3, 1.5j, 2.7]), float),
+    "off-axis": (np.array([0.3, 1.5j, 1.0 + 0.1j]), complex),
+}
+
+
+@pytest.mark.parametrize("axis", AXES)
+def test_sweeps_run_in_float_where_k2_is_real(axis, sq41):
+    """The regular sweep is float64 wherever every k^2 is real, and
+    complex as soon as one momentum is off both axes; the Jost sweep is
+    float64 on the imaginary axis only, where ft is real."""
+    pot, grid = sq41
+    k, dtype = AXES[axis]
+    assert _sweep_regular(pot, 0, k, grid).dtype == dtype
+    assert _sweep_regular(pot, 1, k, grid, 300).dtype == dtype
+    jost = float if axis == "imaginary" else complex
+    assert _sweep_jost(pot, 0, k, grid, 0).dtype == jost
+    assert solve_jost_reduced(pot, 1, k, grid).values.dtype == jost
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 3])
+def test_imaginary_axis_drops_only_exact_zeros(l, gauss41):
+    """On the imaginary axis the free reduced solution, its derivative
+    and F itself have imaginary parts that are exactly zero, so the
+    float sweeps and jost_on_imaginary_axis discard nothing."""
+    pot, grid = gauss41
+    kappa = np.array([0.05, 0.4, 1.5, 3.0, -0.2, -0.7])
+    z = 1j * kappa * grid.r()[1:, None]
+    assert np.all(((1j) ** (l + 1) * hhat_plus(l, z)).imag == 0)
+    assert np.all(((1j) ** (l + 1) * 1j * kappa * hhat_plus_d(l, z)).imag == 0)
+    f = jost_function(pot, l, 1j * kappa, grid)
+    assert np.all(f.imag == 0)
+    assert np.array_equal(jost_on_imaginary_axis(pot, l, kappa, grid), f.real)
 
 
 def test_lower_half_plane_strip_guard():
