@@ -264,7 +264,6 @@ def cmd_verify_pole(cfg: argparse.Namespace) -> Table:
             rows.append([float(idx), st.alpha, float(r), float(gs), float(ex), float(resid)])
         per_state.append((f"state{idx}_alpha", st.alpha))
         per_state.append((f"state{idx}_max_residual", cmp_.max_residual))
-        per_state.append((f"state{idx}_signed_match", bool(cmp_.signed)))
         worst = max(worst, cmp_.max_residual)
     verdict = [("max_relative_residual", worst), ("n_states", len(states))]
     verdict += per_state

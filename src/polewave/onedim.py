@@ -55,7 +55,7 @@ from .poletheorem import (
     PoleExtrapolation,
     ResidueEstimate,
     _branch_sign,
-    _comparison_nodes,
+    _compare,
     _extrapolant,
     _ladder_residue,
     _sample_window,
@@ -274,33 +274,14 @@ def extrapolant_samples_1d(
     w = (f_up * f_dn).real
     sigma = _branch_sign(lambda kappa: _parity_condition(p, parity, kappa, grid), alpha)
     asym = 1.0 if parity == "even" else -1.0
-    mode_name = "imaginary" if mode == "near" else "real"
-    return _extrapolant(
-        grid, 0, alpha, mode_name, t, y, w, sigma, asym * np.sqrt(alpha * (alpha**2 + t))
-    )
+    return _extrapolant(grid, 0, alpha, t, y, w, sigma, asym * np.sqrt(alpha * (alpha**2 + t)))
 
 
 def compare_to_bound_1d(extrapolation: PoleExtrapolation, state: BoundState1D) -> PoleComparison:
     """Residual profile of the extrapolated wave against +N u, the
-    unit-norm bound state of the same parity.
-
-    Same windowing and node-floor conventions as the radial comparison;
-    the expected sign here is plus. If the sampler recorded a negative
-    channel strength on the approach (d_side < 0, possible for excited
-    states where the opposite-momentum Jost value has crossed zero) the
-    stored samples are magnitudes and the comparison drops the sign.
-    """
-    x, sel = _comparison_nodes(extrapolation, state)
-    expected = state.unit_norm()[sel]
-    gs = extrapolation.g_star[sel]
-    peak = float(np.max(np.abs(state.unit_norm())))
-    denom = np.maximum(np.abs(expected), 1e-3 * peak)
-    signed = extrapolation.samples.d_side > 0
-    if signed:
-        res = np.abs(gs - expected) / denom
-    else:
-        res = np.abs(np.abs(gs) - np.abs(expected)) / denom
-    return PoleComparison(x[sel], gs, expected, res, float(res.max()), signed)
+    unit-norm bound state of the same parity, with the windowing and
+    node floor of the radial comparison."""
+    return _compare(extrapolation, state, state.unit_norm())
 
 
 def pole_extrapolate_1d(

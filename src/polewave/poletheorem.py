@@ -2,13 +2,14 @@
 
 The physical wave v_l(k, r) = k^l phi_l(k, r) / |F_l(k)|, rescaled as
 
-    g(t, r) = s * alpha^l * sqrt(2 alpha (alpha^2 + t)) * phi(t, r) / sqrt(D(t)),
+    g(t, r) = s * alpha^l * sqrt(2 alpha (alpha^2 + t)) * phi(t, r) / sqrt(d_side D(t)),
 
-with t = k^2 and D(t) = F_l(k) F_l(-k), is a function of energy alone
-and analytic across the bound-state energy t = -alpha^2: the simple
-zero of D there is cancelled by the explicit sqrt(alpha^2 + t). Fitting
-a polynomial in t through samples of g and evaluating it at t = -alpha^2
-reproduces minus the unit-norm bound state, -u_alpha(r), for s-waves.
+with t = k^2, D(t) = F_l(k) F_l(-k) and d_side the sign of D, is a
+function of energy alone and analytic across the bound-state energy
+t = -alpha^2: the simple zero of D there is cancelled by the explicit
+sqrt(alpha^2 + t). Fitting a polynomial in t through samples of g and
+evaluating it at t = -alpha^2 reproduces minus the unit-norm bound
+state, -u_alpha(r).
 
 The sign s = sign F(i kappa)|_{kappa -> alpha-} deserves a comment. The
 physical wave is built from e^{i delta}, which the S matrix fixes only
@@ -30,12 +31,12 @@ t = 0.05 alpha^2 .. -alpha^2 can deliver, and it is the only window
 from which a deep second pole can be reached when a shallower state and
 a virtual state stand in between.
 
-At odd l the continuation of g along real energies carries the phase
-(-i)^l: D is negative on the approach to the pole and g is imaginary
-there, landing on i u_alpha rather than -u_alpha. Only the magnitude
-is branch-free. The near-pole sampler detects that case, samples |g|,
-and compare_to_bound checks the squares, recording the observed side
-of D rather than asserting a sign.
+D carries the factor k^{2l} = t^l from the k^l of each Jost function,
+so between the pole and t = 0 its sign d_side is (-1)^l. Dividing by
+sqrt(d_side D) takes out the negative t^l at odd l and leaves a real
+function of t, analytic at the pole; with the branch sign folded in,
+the limit is -u_alpha at every l, and compare_to_bound checks it with
+its sign.
 
 Also here: the S-matrix residue at the pole, whose magnitude is the
 squared asymptotic normalization N^2, and the competing prefactor form
@@ -64,7 +65,6 @@ from .radial import (
     jost_function,
     jost_on_imaginary_axis,
     regular_and_jost,
-    solve_regular,
 )
 from .spectrum import BoundState
 
@@ -77,20 +77,22 @@ _FIT_DEGREE = 8
 _FIT_NODES = 12
 #: step of the Jost derivative, relative to |k0|
 _REL_STEP = 0.01
+#: largest Richardson gauge of the residue ladder, relative to the
+#: residue; ladders with a true relative error above 1e-2 read 0.15 or more
+_LADDER_GAUGE = 0.1
 
 
 @dataclass
 class ExtrapolantSamples:
     """g(t_j, r_i) on a grid, ready for fitting in t.
 
-    mode is "real" (t_j > 0, scattering region) or "imaginary"
-    (-alpha^2 < t_j < 0, between the pole and the next zero of D).
-    branch_sign is the factor s already folded into g (see the module
-    docstring); it is recorded so reports can state which branch of
-    e^{i delta} the samples live on. d_side is the sign of D over the
-    window: -1 flags the odd-l imaginary-axis case where g stores the
-    magnitude of an imaginary continuation (see
-    extrapolant_samples_near_pole).
+    t_j > 0 are scattering energies, -alpha^2 < t_j < 0 lie between the
+    pole and the next zero of D. branch_sign is the factor s already
+    folded into g (see the module docstring); it is recorded so reports
+    can state which branch of e^{i delta} the samples live on. d_side is
+    the sign of D over the window, and g takes the square root of
+    d_side D: +1 on the real axis, (-1)^l on the approach to a radial
+    pole.
     """
 
     grid: Grid
@@ -99,7 +101,6 @@ class ExtrapolantSamples:
     t: np.ndarray
     g: np.ndarray
     d: np.ndarray
-    mode: str
     branch_sign: float = 1.0
     d_side: float = 1.0
 
@@ -169,7 +170,6 @@ def _extrapolant(
     grid: Grid,
     l: int,
     alpha: float,
-    mode: str,
     t: np.ndarray,
     y: np.ndarray,
     d: np.ndarray,
@@ -195,7 +195,25 @@ def _extrapolant(
         )
     side = math.copysign(1.0, re[0])
     g = sign * pref * y / np.sqrt(side * d)
-    return ExtrapolantSamples(grid, l, alpha, t, g, d, mode, sign, side)
+    return ExtrapolantSamples(grid, l, alpha, t, g, d, sign, side)
+
+
+def _samples(
+    potential: Potential,
+    l: int,
+    alpha: float,
+    grid: Grid,
+    n_samples: int,
+    spacing: float,
+    window: str,
+) -> ExtrapolantSamples:
+    """g on a window of _sample_window, from one regular sweep of its
+    momenta and the branch probe."""
+    t, k = _sample_window(alpha, n_samples, spacing, window)
+    phi, f_up, f_dn = regular_and_jost(potential, l, k, grid)
+    s = pole_branch_sign(potential, l, alpha, grid)
+    pref = alpha**l * math.sqrt(2.0 * alpha) * np.sqrt(alpha**2 + t)
+    return _extrapolant(grid, l, alpha, t, phi, (f_up * f_dn).real, s, pref)
 
 
 def extrapolant_samples(
@@ -208,13 +226,7 @@ def extrapolant_samples(
     spacing: float = 0.05,
 ) -> ExtrapolantSamples:
     """Sample g at real momenta t_j = j * spacing * alpha^2, j = 1..n."""
-    t, k = _sample_window(alpha, n_samples, spacing, "real")
-    phi = solve_regular(potential, l, k, grid).values
-    f = _jost_from_regular(potential, l, k, grid, phi)
-    d = (f * np.conj(f)).real
-    s = pole_branch_sign(potential, l, alpha, grid)
-    pref = alpha**l * math.sqrt(2.0 * alpha) * np.sqrt(alpha**2 + t)
-    return _extrapolant(grid, l, alpha, "real", t, phi, d, s, pref)
+    return _samples(potential, l, alpha, grid, n_samples, spacing, "real")
 
 
 def extrapolant_samples_near_pole(
@@ -235,24 +247,15 @@ def extrapolant_samples_near_pole(
     means a virtual state or another bound state sits inside it, so
     shrink the window.
 
-    D is positive between the pole and t = 0 when the continued wave is
-    real there, which holds at even l. At odd l the (-i)^l phase of the
-    continuation makes D negative on the approach, g itself is
-    imaginary, and what gets sampled is its magnitude, the real
-    function with -D under the square root. The magnitude is the part
-    the squared comparison of compare_to_bound consumes, and d_side
-    records which case occurred.
+    On this side of t = 0, D has the sign (-1)^l of its factor t^l,
+    recorded as d_side; g takes the square root of d_side D, so it is
+    real at every l and tends to -u_alpha (see the module docstring).
 
     The default window hugs the pole (half a percent of alpha^2 per
     step): these samples exist to nail the local limit, not to
     demonstrate extrapolation from scattering energies.
     """
-    t, k = _sample_window(alpha, n_samples, spacing, "near")
-    phi, f_up, f_dn = regular_and_jost(potential, l, k, grid)
-    s = pole_branch_sign(potential, l, alpha, grid)
-    pref = alpha**l * math.sqrt(2.0 * alpha) * np.sqrt(alpha**2 + t)
-    d = (f_up * f_dn).real
-    return _extrapolant(grid, l, alpha, "imaginary", t, phi, d, s, pref)
+    return _samples(potential, l, alpha, grid, n_samples, spacing, "near")
 
 
 @dataclass
@@ -299,29 +302,26 @@ def extrapolate_to_pole(samples: ExtrapolantSamples, order: int = 2) -> PoleExtr
 
 @dataclass
 class PoleComparison:
-    """Pointwise residuals of the extrapolated wave against the bound
-    state, over a radial window.
-
-    For l = 0 the comparison is signed: g_star should equal minus the
-    unit-norm bound state. For l >= 1 the squares are compared (the
-    sign convention of the continued prefactor is not part of the
-    claim being tested there).
-    """
+    """Pointwise residuals of the extrapolated wave against the function
+    the pole limit should equal, over a radial window: minus the
+    unit-norm bound state at every l radially, plus it on the line."""
 
     r: np.ndarray
     g_star: np.ndarray
     expected: np.ndarray
     residuals: np.ndarray
     max_residual: float
-    signed: bool
 
 
-def _comparison_nodes(extrapolation: PoleExtrapolation, state, lo=None, hi=None):
-    """Grid radii and the mask of the comparison window, default
-    [0.5, 6/alpha], after checking that extrapolation and state share
-    the grid and the pole. state is a radial or a line bound state. A
-    window reaching past r_max is clipped there, with a warning: the
-    verdict then depends on r_max."""
+def _compare(extrapolation: PoleExtrapolation, state, expected: np.ndarray, lo=None, hi=None):
+    """Relative residuals |g_star - expected| on the comparison window,
+    default [0.5, 6/alpha], with the denominator floored at 1e-3 of the
+    peak of expected so nodes of the state do not divide by zero.
+
+    state is a radial or a line bound state, checked to share the grid
+    and the pole of the extrapolation; expected is given on the whole
+    grid. A window reaching past r_max is clipped there, with a
+    warning: the verdict then depends on r_max."""
     g = extrapolation.samples.grid
     if (g.h, g.n) != (state.grid.h, state.grid.n):
         raise SpecError("extrapolation and bound state live on different grids")
@@ -342,7 +342,11 @@ def _comparison_nodes(extrapolation: PoleExtrapolation, state, lo=None, hi=None)
             ExtrapolationWarning,
             stacklevel=3,
         )
-    return r, sel
+    gs = extrapolation.g_star[sel]
+    ex = expected[sel]
+    denom = np.maximum(np.abs(ex), 1e-3 * float(np.max(np.abs(expected))))
+    res = np.abs(gs - ex) / denom
+    return PoleComparison(r[sel], gs, ex, res, float(res.max()))
 
 
 def compare_to_bound(
@@ -351,28 +355,15 @@ def compare_to_bound(
     r_lo: float | None = None,
     r_hi: float | None = None,
 ) -> PoleComparison:
-    """Residual profile of g_star against the bound state.
+    """Residual profile of g_star against -u, minus the unit-norm bound
+    state, at every l.
 
     The residual is relative, with the denominator floored at 1e-3 of
     the peak so nodes of u do not divide by zero. The default window
     [0.5, 6/alpha] starts past the origin region (both functions are
     tiny there) and ends where the state has decayed by ~ e^{-6}.
     """
-    r, sel = _comparison_nodes(extrapolation, state, r_lo, r_hi)
-    u = state.u[sel]
-    gs = extrapolation.g_star[sel]
-    peak = float(np.max(np.abs(state.u)))
-    if extrapolation.samples.l == 0:
-        expected = -u
-        denom = np.maximum(np.abs(u), 1e-3 * peak)
-        res = np.abs(gs - expected) / denom
-        signed = True
-    else:
-        expected = u
-        denom = np.maximum(u**2, (1e-3 * peak) ** 2)
-        res = np.abs(gs**2 - u**2) / denom
-        signed = False
-    return PoleComparison(r[sel], gs, expected, res, float(res.max()), signed)
+    return _compare(extrapolation, state, -state.u, r_lo, r_hi)
 
 
 @dataclass
@@ -406,9 +397,17 @@ def _richardson(seq: np.ndarray) -> tuple[float, float]:
 def _ladder_residue(alpha: float, rho) -> tuple[complex, float]:
     """Residue at k = i alpha and its error gauge, from rho(kappa) =
     (kappa - alpha) S(i kappa) on the ladder kappa_j = alpha (1 - 2^-j),
-    Richardson-extrapolated to the pole."""
+    Richardson-extrapolated to the pole. A gauge above _LADDER_GAUGE of
+    the residue is refused: the ladder has not converged, typically
+    because the rounding of F(-i kappa), amplified by e^{2 kappa r_c},
+    swamps S."""
     j = np.arange(1, _LADDER_POINTS + 1)
     limit, err = _richardson(rho(alpha * (1.0 - 0.5**j)))
+    if not err <= _LADDER_GAUGE * abs(limit):
+        raise NumericalError(
+            f"the residue ladder at alpha = {alpha:.6g} has not converged: its Richardson "
+            f"gauge {err:.3g} exceeds {_LADDER_GAUGE:g} of the residue {abs(limit):.3g}"
+        )
     return 1j * limit, err
 
 
@@ -550,9 +549,8 @@ def gw_extrapolant(
     s = pole_branch_sign(potential, 0, alpha, grid)
     v = s * phi / np.sqrt(d)[None, :]
     t = k * k
-    mode = "real" if not np.any(k.imag) else "imaginary"
     universal = _extrapolant(
-        grid, 0, alpha, mode, t, phi, d, s, math.sqrt(2.0 * alpha) * np.sqrt(alpha**2 + t)
+        grid, 0, alpha, t, phi, d, s, math.sqrt(2.0 * alpha) * np.sqrt(alpha**2 + t)
     )
     return GwExtrapolant(grid, k, pref[None, :] * v, pref, universal)
 

@@ -101,7 +101,7 @@ def test_criterion_5_p_wave_squared_form(sq15, sq15_l1_states):
     pot, grid = sq15
     res = _pole_residual(pot, grid, sq15_l1_states[0])
     assert res < 1e-2
-    _passed(5, f"l=1 squared-form residual {res:.2e}")
+    _passed(5, f"l=1 signed residual {res:.2e}")
 
 
 def test_criterion_6_separable_model_comparison(sep15):

@@ -23,6 +23,8 @@ def specs(tmp_path_factory):
         "square": {"kind": "square", "depth": 4.0, "radius": 1.0},
         "free": {"kind": "free"},
         "gauss": {"kind": "gaussian", "depth": 4.0, "radius": 1.0},
+        "square15": {"kind": "square", "depth": 15.0, "radius": 1.0},
+        "wide100": {"kind": "square", "depth": 100.0, "radius": 2.0},
     }.items():
         path = d / f"{name}.json"
         path.write_text(json.dumps(payload))
@@ -91,12 +93,29 @@ def test_bound_reports_the_state(specs, capsys):
     assert n == pytest.approx(oracle.normalization(0, alpha_ref), rel=1e-9)
 
 
+def assert_signed_rows(out):
+    """g_star and expected (columns 3 and 4 of verify-pole's rows) agree
+    in sign on every row, and no separate sign verdict is printed."""
+    rows = [l.split(",") for l in out.splitlines() if l[:1].isdigit()]
+    assert rows
+    assert all((float(r[3]) > 0) == (float(r[4]) > 0) for r in rows)
+    assert "signed_match" not in out
+
+
 def test_verify_pole_verdict(specs, capsys):
     rc, cap = run(["verify-pole", "--potential", specs["square"]], capsys)
     assert rc == 0
     v = csv_verdicts(cap.out)
     assert float(v["max_relative_residual"]) < 1e-3
-    assert v["state0_signed_match"] == "true"
+    assert_signed_rows(cap.out)
+
+
+def test_verify_pole_signed_at_odd_l(specs, capsys):
+    """At l = 1 the extrapolated wave meets -u with its sign."""
+    rc, cap = run(["verify-pole", "--potential", specs["square15"], "--ell", "1"], capsys)
+    assert rc == 0
+    assert float(csv_verdicts(cap.out)["max_relative_residual"]) < 1e-3
+    assert_signed_rows(cap.out)
 
 
 def test_residue_both_methods(specs, capsys):
@@ -250,6 +269,16 @@ def test_no_bound_state_exit_code(specs, capsys):
         rc, cap = run(args, capsys)
         assert rc == 2
         assert "no bound state" in cap.err
+
+
+def test_unconverged_residue_exit_code(specs, capsys):
+    """The deepest state of square (100, 2) has a residue ladder whose
+    Richardson gauge is 5x the residue: refused with exit 4, no table."""
+    with pytest.warns(ConditioningWarning):
+        rc, cap = run(["residue", "--potential", specs["wide100"]], capsys)
+    assert rc == 4
+    assert "has not converged" in cap.err
+    assert cap.out == ""
 
 
 def test_validation_exit_codes(specs, capsys):

@@ -87,7 +87,7 @@ def test_pole_limit_both_parities(oned41, oned41_even, oned41_odd):
     p, grid = oned41
     for state, bound in [(oned41_even[0], 1e-4), (oned41_odd[0], 2e-4)]:
         ext, cmp_ = pole_extrapolate_1d(p, state.parity, state)
-        assert cmp_.signed
+        assert np.array_equal(cmp_.expected, state.unit_norm()[np.isin(grid.r(), cmp_.r)])
         assert cmp_.max_residual < bound
         assert ext.samples.d_side == 1.0
 

@@ -6,6 +6,7 @@ pole, quadratic fit); each carries roughly a factor two of headroom so
 a real regression trips it but grid jitter does not.
 """
 
+import functools
 import math
 import warnings
 from contextlib import nullcontext
@@ -34,7 +35,7 @@ from polewave.poletheorem import (
     smatrix_residue,
     wronskian_identity,
 )
-from polewave.potentials import make_grid
+from polewave.potentials import PotentialSpec, make_grid, make_potential
 from polewave.radial import jost_on_imaginary_axis, physical_wave, solve_regular
 from polewave.spectrum import find_bound_states
 
@@ -45,10 +46,15 @@ def near_pole_comparison(pot, grid, state, order=2):
     return samples, compare_to_bound(ext, state)
 
 
+def compared_to_minus_u(cmp_, state):
+    """The comparison's expected values are -u on its radii, sign included."""
+    return np.array_equal(cmp_.expected, -state.u[np.isin(state.grid.r(), cmp_.r)])
+
+
 def test_square_well_pole_limit(sq41, sq41_states):
     pot, grid = sq41
     samples, cmp_ = near_pole_comparison(pot, grid, sq41_states[0])
-    assert cmp_.signed
+    assert compared_to_minus_u(cmp_, sq41_states[0])
     assert cmp_.max_residual < 2e-4
     assert samples.branch_sign == -1.0
     assert samples.d_side == 1.0
@@ -85,14 +91,55 @@ def test_deep_well_both_states(deep30, deep30_states):
 
 
 def test_p_wave_pole_limit(sq15, sq15_l1_states):
-    """At odd l the continued normalization is imaginary and D < 0 on
-    the approach, so the samples carry |g| and the comparison is of
-    squares; d_side records the branch."""
+    """At odd l, D carries t^l < 0 on the approach, so d_side reads -1
+    and g takes the root of -D; with the branch sign folded in, the
+    limit is -u, compared with its sign."""
     pot, grid = sq15
     samples, cmp_ = near_pole_comparison(pot, grid, sq15_l1_states[0])
-    assert not cmp_.signed
+    assert compared_to_minus_u(cmp_, sq15_l1_states[0])
     assert samples.d_side == -1.0
     assert cmp_.max_residual < 5e-5
+
+
+@functools.cache
+def square_states(depth, l):
+    pot = make_potential(PotentialSpec("square", depth, 1.0))
+    grid = make_grid(pot, h=1 / 256)
+    return pot, grid, find_bound_states(pot, l, grid)
+
+
+@pytest.mark.parametrize(
+    "depth, l, index",
+    [
+        (15.0, 1, 0),
+        (30.0, 1, 0),
+        (60.0, 2, 0),
+        pytest.param(
+            60.0, 2, 1,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="the shallow l = 2 state (alpha = 0.44) needs a sample window "
+                "sized to the state; ROADMAP item 2",
+            ),
+        ),
+        (60.0, 3, 0),
+        (100.0, 2, 0),
+        (100.0, 2, 1),
+        (100.0, 4, 0),
+    ],
+)
+def test_signed_pole_limit_at_higher_l(depth, l, index):
+    """The pole limit is -u with its sign at every l: D has the sign
+    (-1)^l of its factor t^l on the approach, and g is built on
+    d_side D. The bound is the acceptance tolerance, 1e-3."""
+    pot, grid, states = square_states(depth, l)
+    state = states[index]
+    # F(-i kappa) near the pole amplifies rounding by e^{2 alpha} at the
+    # well edge r = 1; past 1e6 (the deep l = 2 state of depth 100) it warns
+    with pytest.warns(ConditioningWarning) if math.exp(2 * state.alpha) > 1e6 else nullcontext():
+        samples, cmp_ = near_pole_comparison(pot, grid, state)
+    assert samples.d_side == (-1.0) ** l
+    assert cmp_.max_residual < 1e-3
 
 
 def test_real_axis_window_extrapolates_poorly(sq41, sq41_states):
@@ -227,6 +274,24 @@ def test_residue_method_guards(gauss41, sq41, sq41_states):
     pot, grid = sq41
     with pytest.raises(SpecError):
         smatrix_residue(pot, 0, sq41_states[0].alpha, grid, "saddle")
+
+
+def test_unconverged_residue_ladder_is_refused():
+    """Where e^{2 alpha r_c} lets rounding swamp S(i kappa), the ladder's
+    Richardson gauge passes a tenth of the residue, and the residue is
+    refused, not returned: radially at the deepest state of square
+    (100, 2), alpha = 9.89, and on the line at the deepest even state of
+    square (100, 1), alpha = 9.90."""
+    pot = make_potential(PotentialSpec("square", 100.0, 2.0))
+    grid = make_grid(pot, h=1 / 256)
+    alpha = SquareWellOracle(100.0, 2.0).bound_alphas(0)[0]
+    with pytest.raises(NumericalError, match="not converged"), pytest.warns(ConditioningWarning):
+        smatrix_residue(pot, 0, alpha, grid)
+    p = Potential1D(make_potential(PotentialSpec("square", 100.0, 1.0)))
+    grid = make_grid(p.half, h=1 / 256)
+    state = find_bound_1d(p, "even", grid)[0]
+    with pytest.raises(NumericalError, match="not converged"), pytest.warns(ConditioningWarning):
+        pole_residue_1d(p, "even", state.alpha, grid)
 
 
 def test_jost_derivative_error_covers_both_kernel_paths(gauss41, monkeypatch):

@@ -14,6 +14,7 @@ import pytest
 import polewave.poletheorem as poletheorem
 import polewave.radial as radial
 from polewave.cli import main
+from polewave.onedim import extrapolant_samples_1d
 from polewave.poletheorem import (
     extrapolant_samples,
     extrapolant_samples_near_pole,
@@ -62,6 +63,17 @@ def test_one_regular_sweep_per_momentum_set(name, sq41, sq41_states, sweeps):
     RUNS[name](pot, grid, sq41_states[0].alpha)
     assert sweeps, f"{name} ran no regular sweep"
     assert max(sweeps.values()) == 1, f"{name}: sweeps per set {sorted(sweeps.values())}"
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("mode", ["near", "real"])
+def test_line_sampler_sweeps_once(mode, parity, oned41, oned41_even, oned41_odd, sweeps):
+    """The line sampler reads y, f(k) and f(-k) from one sweep of its
+    momenta, as the radial samplers do; the branch probe sweeps its own."""
+    p, grid = oned41
+    state = (oned41_even if parity == "even" else oned41_odd)[0]
+    extrapolant_samples_1d(p, parity, state.alpha, grid, mode=mode)
+    assert len(sweeps) == 2 and max(sweeps.values()) == 1, sorted(sweeps.values())
 
 
 def test_phases_subcommand_sweeps_once(tmp_path, capsys, sweeps):
