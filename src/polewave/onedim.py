@@ -120,9 +120,10 @@ class ParitySolution:
 def solve_parity(p: Potential1D, parity: str, k, grid: Grid | None = None) -> ParitySolution:
     """Scattering solution of one parity for real k > 0.
 
-    Integrates outward from the parity seed and matches amplitude and
-    phase to the free asymptote at the outermost grid node, which the
-    grid construction places beyond the reach of the potential.
+    The parity solution is the radial regular solution at l = -1 or 0:
+    marched out from the parity seed to the top of the Jost window and
+    continued beyond it as the exact free solution. Amplitude and phase
+    are matched to the free asymptote at the outermost grid node.
     """
     _check_parity(parity)
     if grid is None:

@@ -125,7 +125,9 @@ class RadialSolution:
     """Values of one solution family on a grid, batched over momenta.
 
     values has shape (n_nodes, n_k); its dtype is float64 where every
-    k^2 of the batch is real, else complex.
+    k^2 of the batch is real, else complex. A regular solution is
+    marched to the top of the Jost window and continued beyond it in
+    closed form (_sweep_regular).
     """
 
     grid: Grid
@@ -167,17 +169,23 @@ def _sweep_regular(
     The first two nodes come from the origin series, the origin itself
     included at l = -1 where the solution does not vanish there. Numerov
     is a forward recurrence, so stopping at top leaves every value it
-    does compute bit-identical to the full sweep. The values are float64
-    where every k^2 is real (_squares), else complex.
+    does compute bit-identical to the same nodes of a longer sweep. The
+    values are float64 where every k^2 is real (_squares), else complex.
+
+    The whole grid is marched only to the top of the Jost window, or
+    further at very small |k| (_fill_node); the nodes beyond, where U is
+    zero, take the exact free continuation (_free_fill).
     """
     k = _momenta(k)
     k2 = _squares(k)
-    top = grid.n if top is None else top
+    whole = top is None
+    if whole:
+        top = _fill_node(potential, max(l, 0), k, grid) - 1
     _check_step(potential, k2, grid, 0, top)
     h, r = grid.h, grid.r()
     seed = _origin_series(potential, l, k2)
     s = 0 if l < 0 else 1
-    vals = np.empty((top + 1, k.size), dtype=k2.dtype)
+    vals = np.empty((grid.n + 1 if whole else top + 1, k.size), dtype=k2.dtype)
     vals[0] = 0.0
     for i0, i1, fn in _domains(potential, grid):
         if i0 >= top:
@@ -193,17 +201,109 @@ def _sweep_regular(
             w0, w1, w2 = _sided_w(potential, l, r[i0], +1, k2)
             vals[i0 + 1] = ig.taylor_step(vals[i0], du, h, w0, w1, w2)
             ig.numerov(vals[i0], vals[i0 + 1], w, h, out=vals[i0 : i1 + 1])
+    if whole and top < grid.n:
+        _free_fill(max(l, 0), k, grid, _wronskian_node(potential, grid), vals, top + 1)
     if not np.all(np.isfinite(vals)):
         raise NumericalError("regular solution overflowed; reduce r_max or check inputs")
     return vals
 
 
+#: nodes per block of the free fill
+_FILL_BLOCK = 64
+
+
+def _fill_node(potential: Potential, l: int, k: np.ndarray, grid: Grid) -> int:
+    """The first node of the free fill of a whole-grid sweep, or n + 1
+    for none. It lies past the Jost window, and where the cancellation of
+    the fill, eps (|k| r)^{-(2l+1)} at the smallest nonzero |k|, stays
+    within the march's own rounding i^{3/2} eps over i nodes (the
+    estimate of _jost_rounding): i^{2l + 5/2} >= (|k| h)^{-(2l+1)}. A
+    grid that ends inside the range of the potential gets no fill."""
+    if potential.cutoff is not None and potential.cutoff >= grid.r_max:
+        return grid.n + 1
+    kmin = np.min(np.abs(k[k != 0]), initial=np.inf)
+    rounding = (kmin * grid.h) ** (-(2 * l + 1) / (2 * l + 2.5))
+    return math.ceil(min(max(_window_top(potential, grid) + 1, rounding), grid.n + 1))
+
+
+def _free_fill(l: int, k: np.ndarray, grid: Grid, i: int, vals: np.ndarray, s: int) -> None:
+    """Overwrite nodes s..n of vals with the free solution at l >= 0
+    that the values on nodes i - 2..i + 2 belong to, U being zero there.
+
+    The free pair is f_+-(r) = e^{+-ik(r - r_i)} sum_m c_m (+-i / 2kr)^m,
+    c_m = (l+m)! / (m! (l-m)!): ft_l(+-k, r) scaled by e^{-+ik r_i}, so
+    the coefficients keep the size of the values. phi = a f_+ + b f_-
+    with a = W[f_-, phi] / 2ik and b = -W[f_+, phi] / 2ik, read on the
+    five nodes around i as F is. At k = 0 the pair is r^{l+1}, r^{-l}.
+
+    That makes phi = sum_m r^{-m} (p_m g_0 + q_m g_1), in the basis
+    g = (cos kr', sin kr') at real k and g = (e^{ikr'}, e^{-ikr'})
+    elsewhere, r' = r - r_i; both are real where k^2 is, so a float
+    sweep stays float. With r' = R + t, R a block start and t < B h the
+    offset within a block of B = _FILL_BLOCK nodes, g(R + t) is a 2x2
+    transfer of g(R), folded into per-row coefficients. Each row of
+    every block is then a product of a block-start table and a row
+    table, written in place: evaluating sin, cos or exp on every node
+    would cost about as much as marching there.
+    """
+    h, B = grid.h, _FILL_BLOCK
+    zero = k == 0
+    k = np.where(zero, 1.0, k)
+    win = vals[i - 2 : i + 3]
+    rw = np.arange(i - 2, i + 3) * h
+    f_up = _free_reduced(l, k, rw) * np.exp(-1j * k * rw[2])
+    f_dn = _free_reduced(l, -k, rw) * np.exp(1j * k * rw[2])
+    a = wronskian(f_dn, win, 2, h) / (2j * k)
+    b = -wronskian(f_up, win, 2, h) / (2j * k)
+    # the coefficients of r^{-m} e^{+-ikr'}: c_m (+-i / 2k)^m a and b
+    m = np.arange(l + 1)[:, None]
+    cy = np.array([math.comb(l + j, j) * math.perm(l, j) for j in range(l + 1)])[:, None]
+    cy = cy * (0.5j / k) ** m
+    p, q = a * cy, b * cy * (-1.0) ** m
+    tail = vals[s:]
+    # i k R' at the block starts and i k t at the offsets within a block
+    starts = np.multiply.outer((s - i + B * np.arange(-(-len(tail) // B))) * h, 1j * k)
+    rows = np.multiply.outer(np.arange(B) * h, 1j * k)
+    if vals.dtype == complex:
+        g0, g1 = np.exp(starts), np.exp(-starts)
+        cp, cq = p[:, None] * np.exp(rows), q[:, None] * np.exp(-rows)
+    else:
+        # real k: p cos + q sin, p and q twice the real part and minus
+        # twice the imaginary part of the e^{ikr'} coefficients; on the
+        # imaginary axis every factor below is real already
+        rot = k.imag == 0
+        p, q = np.where(rot, 2 * p.real, p.real), np.where(rot, -2 * p.imag, q.real)
+        up, et = np.exp(starts), np.exp(rows)
+        g0, g1 = up.real, np.where(rot, up.imag, np.exp(-starts).real)
+        cp = p[:, None] * et.real + q[:, None] * et.imag
+        cq = q[:, None] * np.where(rot, et.real, np.exp(-rows).real) - p[:, None] * et.imag
+    x = 1.0 / grid.r()[s:, None]
+    for blk, lo in enumerate(range(0, len(tail), B)):
+        dst = tail[lo : lo + B]
+        n = len(dst)
+        np.multiply(cp[l, :n], g0[blk], out=dst)
+        dst += cq[l, :n] * g1[blk]
+        for o in range(l - 1, -1, -1):
+            dst *= x[lo : lo + n]
+            dst += cp[o, :n] * g0[blk]
+            dst += cq[o, :n] * g1[blk]
+    if zero.any():
+        u, v = rw[:, None] ** (l + 1), rw[:, None] ** -l
+        r = grid.r()[s:, None]
+        tail[:, zero] = (
+            wronskian(v, win[:, zero], 2, h) * r ** (l + 1) - wronskian(u, win[:, zero], 2, h) * r**-l
+        ) / (2 * l + 1)
+
+
 def solve_regular(potential: Potential, l: int, k, grid: Grid) -> RadialSolution:
-    """Outward integration of the regular solution phi_l(k, r).
+    """The regular solution phi_l(k, r) on the whole grid.
 
     Seeds the first two nodes from the origin power series
     phi = r^{l+1}/(2l+1)!! (1 + c2 r^2 + c3 r^3 + c4 r^4), then marches
-    with Numerov, stepping across potential breakpoints one-sidedly.
+    with Numerov, stepping across potential breakpoints one-sidedly, to
+    the top of the Jost window; beyond it, where U is zero, phi is the
+    exact free solution with the coefficients read on the window. phi is
+    entire in k^2, so every momentum is admitted, Im k < 0 included.
     """
     if l < 0:
         raise SpecError("l must be a non-negative integer")
@@ -444,8 +544,9 @@ def _jost_rounding(potential: Potential, l: int, k, grid: Grid, phi: np.ndarray)
 
 
 def _regular_and_jost(potential: Potential, l_out: int, l: int, k, grid: Grid):
-    """The outward solution at l_out on the whole grid, with F_l(k) and
-    F_l(-k) read from it."""
+    """The outward solution at l_out on the whole grid (marched to the
+    Jost window, free beyond it), with F_l(k) and F_l(-k) read from it
+    on the window."""
     phi = _sweep_regular(potential, l_out, k, grid)
     f = _jost_from_regular(potential, l, k, grid, phi)
     return phi, f, _jost_from_regular(potential, l, -np.asarray(k), grid, phi)
@@ -561,7 +662,11 @@ def physical_wave(
     k,
     grid: Grid | None = None,
 ) -> PhysicalWave:
-    """Physical scattering wave for real k > 0, batched over momenta."""
+    """Physical scattering wave for real k > 0, batched over momenta.
+
+    The regular solution it is built from is marched to the top of the
+    Jost window; beyond it the wave is the exact free solution with
+    phase shift delta, evaluated in closed form."""
     if grid is None:
         grid = make_grid(potential)
     k = np.atleast_1d(np.asarray(k, dtype=float))

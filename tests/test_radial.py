@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polewave._riccati import hhat_plus, hhat_plus_d
+from polewave._riccati import hhat_plus, hhat_plus_d, jhat, jhat_d
 from polewave.analytic import SquareWellOracle
-from polewave.errors import SpecError, StepSizeError
-from polewave.potentials import Free, Potential, PotentialSpec, make_grid, make_potential
+from polewave.errors import NumericalError, SpecError, StepSizeError
+from polewave.potentials import Free, Grid, Potential, PotentialSpec, make_grid, make_potential
 from polewave.radial import (
     _sweep_jost,
     _sweep_regular,
@@ -258,3 +258,127 @@ def test_at_radius_indexes_the_grid(sq41):
     pot, grid = sq41
     ph = solve_regular(pot, 0, np.array([1.0]), grid)
     assert ph.at_radius(2.0) == pytest.approx(ph.values[grid.index_of(2.0), 0])
+
+
+@pytest.mark.parametrize("axis", AXES)
+@pytest.mark.parametrize("well", ["sq41", "gauss41", "exp905"])
+def test_whole_sweep_is_the_window_sweep_up_to_its_top(well, axis, request):
+    """The whole-grid sweep marches to the top of the Jost window and
+    fills the free region beyond it, so its nodes up to that top are the
+    window sweep's bit for bit, at every l and on the line (l = -1)."""
+    pot, grid = request.getfixturevalue(well)
+    k = AXES[axis][0]
+    top = _window_top(pot, grid)
+    for l in (-1, 0, 1, 2, 3):
+        whole = _sweep_regular(pot, l, k, grid)
+        assert whole.shape == (grid.n + 1, k.size)
+        assert np.array_equal(whole[: top + 1], _sweep_regular(pot, l, k, grid, top))
+
+
+@pytest.mark.parametrize("l", [0, 1])
+@pytest.mark.parametrize("well, bound", [("sq41", 1e-8), ("deep30", 5e-9)])
+def test_square_well_wave_matches_closed_form_on_every_node(well, bound, l, request):
+    """k v against the closed form on every node but the origin. Beyond
+    the window the wave is the exact free solution, so the phase error a
+    march gathers over the free region (k v off by 1.8e-8 on sq41 and
+    5.7e-8 on deep30 at l = 0) is gone; the bounds round up the 7.7e-9
+    and 3.6e-9 measured with the free region filled."""
+    pot, grid = request.getfixturevalue(well)
+    oracle = SquareWellOracle(pot.depth, pot.radius)
+    k = np.linspace(0.05, 3.0, 60)
+    pw = physical_wave(pot, l, k, grid)
+    r = grid.r()[1:]
+    exact = np.stack([oracle.physical_wave(l, kk, r) for kk in k], axis=1)
+    assert np.max(np.abs(k * (pw.values[1:] - exact))) < bound
+
+
+@pytest.mark.parametrize("l", [0, 1])
+@pytest.mark.parametrize("k", [np.array([0.3, 1.1, 2.7]), 1j * np.array([0.4, 1.5])])
+def test_wronskian_is_node_independent_across_the_window_top(k, l, sq41, gauss41):
+    """W[ft, phi] stays constant where phi turns from marched to filled:
+    on stencils just inside and just past the window top, and far out.
+    A stencil across the top itself reads the step between the march and
+    the fill, the five-point derivative error of the window (4e-10 of
+    phi at k = 2.7 on sq41), magnified by 1/h."""
+    for pot, grid in (sq41, gauss41):
+        top = _window_top(pot, grid)
+        ft = solve_jost_reduced(pot, l, k, grid).values
+        phi = solve_regular(pot, l, k, grid).values
+        nodes = [top - 4, top - 2, top + 3, top + 5, top + 70, grid.n - 2]
+        w = np.array([wronskian(ft, phi, i, grid.h) for i in nodes])
+        assert np.max(np.abs(w - w[0]) / np.abs(w[0])) < 1e-8
+
+
+def test_zero_momentum_continues_the_zero_energy_pair(sq41):
+    """At k = 0 the free region takes a r^{l+1} + b r^{-l}, the k -> 0
+    limit of the free pair, also next to other momenta of the batch.
+    Inside the well phi = jhat_l(K r) / K^{l+1} with K = 2; outside, a
+    and b match value and slope at r = 1."""
+    pot, grid = sq41
+    r = grid.r()
+    for l in (0, 1):
+        phi = solve_regular(pot, l, np.array([0.0, 0.7, 0.5j]), grid).values
+        assert phi.dtype == float
+        v1 = jhat(l, 2.0).real / 2.0 ** (l + 1)
+        d1 = jhat_d(l, 2.0).real / 2.0**l
+        # a r^{l+1} + b r^{-l}: value v1 and slope d1 at r = 1
+        a = (l * v1 + d1) / (2 * l + 1)
+        exact = np.where(
+            r <= 1.0,
+            jhat(l, 2.0 * r).real / 2.0 ** (l + 1),
+            a * r ** (l + 1) + (v1 - a) / np.maximum(r, 1.0) ** l,
+        )
+        assert np.max(np.abs(phi[:, 0] - exact)) < 1e-8 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_small_momentum_fill_keeps_the_march_accuracy(l, sq41, sq41_oracle):
+    """At small |k| r the free pair cancels by (|k| r)^{-(2l+1)}; the fill
+    starts where that stays within the march's rounding, so the wave is
+    as close to the closed form as a march over the whole grid."""
+    pot, grid = sq41
+    r = grid.r()[1:]
+    for kk in (0.3, 0.05, 0.01):
+        k = np.array([kk])
+        scale = kk**l / np.abs(jost_function(pot, l, k, grid))
+        exact = sq41_oracle.physical_wave(l, kk, r)
+        err = [
+            np.max(np.abs(phi[1:, 0] * scale - exact))
+            for phi in (_sweep_regular(pot, l, k, grid), _sweep_regular(pot, l, k, grid, grid.n))
+        ]
+        assert err[0] <= 2.0 * err[1] + 1e-12, (kk, err)
+
+
+def test_nothing_to_fill_past_the_grid(sq41):
+    """A window that reaches the last node, and a grid that ends inside
+    the well, leave nothing to fill: the sweep is the march to r_max."""
+    gauss = make_potential(PotentialSpec("gaussian", 4.0, 1.0))
+    short = make_grid(gauss, h=1 / 256, r_max=5.0)
+    assert _window_top(gauss, short) >= short.n
+    k = np.array([0.3, 1.1])
+    for pot, grid in ((gauss, short), (sq41[0], Grid(h=sq41[1].h, n=200))):
+        phi = solve_regular(pot, 0, k, grid).values
+        assert np.array_equal(phi, _sweep_regular(pot, 0, k, grid, grid.n))
+
+
+def test_fill_overflow_raises(sq41):
+    """The free region grows like e^{kappa r}; past the float range the
+    sweep refuses, as the march did, though the window itself is fine."""
+    pot, grid = sq41
+    assert np.all(np.isfinite(_sweep_regular(pot, 0, np.array([40j]), grid, _window_top(pot, grid))))
+    with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
+        solve_regular(pot, 0, np.array([40j]), grid)
+
+
+def test_regular_solution_has_no_strip_limit():
+    """phi is entire in k^2, so the regular solution takes Im k < 0 far
+    outside the strip where the Jost function refuses it, and equals the
+    solution at -k."""
+    pot = make_potential(PotentialSpec("exponential", 4.0, 1.0))
+    grid = make_grid(pot, h=1 / 256)
+    with pytest.raises(SpecError, match="strip"):
+        jost_function(pot, 0, np.array([-1.0j]), grid)
+    down = solve_regular(pot, 0, np.array([-1.0j]), grid).values
+    up = solve_regular(pot, 0, np.array([1.0j]), grid).values
+    assert np.all(np.isfinite(down))
+    assert np.max(np.abs(down - up)) <= 1e-12 * np.max(np.abs(up))

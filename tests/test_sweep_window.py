@@ -21,17 +21,21 @@ from polewave.onedim import (
     build_bound_1d,
     find_bound_1d,
     smatrix_1d,
+    solve_parity,
 )
 from polewave.poletheorem import _LADDER_POINTS, smatrix_residue
 from polewave.radial import (
     _cutoff_node,
     _jost,
     _sweep_regular,
+    _window_top,
     _wronskian_node,
     jost_function,
     jost_on_imaginary_axis,
+    physical_wave,
     regular_and_jost,
     solve_jost_reduced,
+    solve_regular,
     wronskian,
 )
 from polewave.spectrum import build_bound_state, find_bound_states
@@ -105,6 +109,28 @@ def test_jost_sweeps_to_the_wronskian_window(well, request, numerov_steps):
     pot, grid = request.getfixturevalue(well)
     jost_on_imaginary_axis(pot, 0, 1.0, grid)
     assert sum(numerov_steps) <= _cutoff_node(pot, grid) + 8
+
+
+WHOLE_GRID = {
+    "physical_wave": lambda pot, grid, k: physical_wave(pot, 0, k, grid),
+    "solve_parity even": lambda pot, grid, k: solve_parity(Potential1D(pot), "even", k, grid),
+    "solve_parity odd": lambda pot, grid, k: solve_parity(Potential1D(pot), "odd", k, grid),
+    "solve_regular": lambda pot, grid, k: solve_regular(pot, 0, 1j * k, grid),
+    "regular_and_jost": lambda pot, grid, k: regular_and_jost(pot, 1, k, grid),
+}
+
+
+@pytest.mark.parametrize("name", WHOLE_GRID)
+@pytest.mark.parametrize("well", ["sq41", "gauss41", "exp905"])
+def test_whole_grid_values_march_only_to_the_window(well, name, request, numerov_steps):
+    """Values on the whole grid, but a march only to the top of the Jost
+    window: the free region beyond is filled in closed form. A piece
+    boundary inside the march seeds its piece, so its node counts twice
+    (the even channel of sq41, which marches from the origin node)."""
+    pot, grid = request.getfixturevalue(well)
+    k = np.array([0.4, 0.9, 1.7])
+    WHOLE_GRID[name](pot, grid, k)
+    assert sum(numerov_steps) <= k.size * (_window_top(pot, grid) + 2)
 
 
 @pytest.mark.parametrize("well", ["sq41", "deep30", "gauss41"])
