@@ -101,12 +101,6 @@ _OPTIONS = (
 )
 
 
-def _spacing(cfg: argparse.Namespace) -> float:
-    if cfg.sample_spacing is not None:
-        return cfg.sample_spacing
-    return 0.0005 if cfg.sample_mode == "near" else 0.05
-
-
 def _digest(cfg: argparse.Namespace) -> str:
     """sha256 of the fully resolved configuration."""
     payload = {o.name: getattr(cfg, o.name) for o in _OPTIONS if o.hashed}
@@ -247,17 +241,11 @@ def cmd_verify_pole(cfg: argparse.Namespace) -> Table:
     rows: list[list[float]] = []
     per_state: list[tuple[str, object]] = []
     worst = 0.0
+    sampler = extrapolant_samples_near_pole if cfg.sample_mode == "near" else extrapolant_samples
     for idx, st in enumerate(states):
-        if cfg.sample_mode == "near":
-            samples = extrapolant_samples_near_pole(
-                pot, cfg.ell, st.alpha, grid,
-                n_samples=cfg.sample_count, spacing=_spacing(cfg),
-            )
-        else:
-            samples = extrapolant_samples(
-                pot, cfg.ell, st.alpha, grid,
-                n_samples=cfg.sample_count, spacing=_spacing(cfg),
-            )
+        samples = sampler(
+            pot, cfg.ell, st.alpha, grid, n_samples=cfg.sample_count, spacing=cfg.sample_spacing
+        )
         ext = extrapolate_to_pole(samples, order=cfg.order)
         cmp_ = compare_to_bound(ext, st)
         for r, gs, ex, resid in zip(cmp_.r, cmp_.g_star, cmp_.expected, cmp_.residuals):
@@ -435,7 +423,7 @@ def cmd_oned(cfg: argparse.Namespace) -> Table:
         ext, cmp_ = pole_extrapolate_1d(
             pot, cfg.parity, st, grid,
             n_samples=cfg.sample_count,
-            spacing=_spacing(cfg),
+            spacing=cfg.sample_spacing,
             mode=cfg.sample_mode,
             order=cfg.order,
         )

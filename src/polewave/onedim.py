@@ -12,31 +12,28 @@ derivative at the origin, S_minus = f(-k, 0)/f(k, 0) from the vanishing
 value. The odd channel is the three-dimensional s-wave problem in
 disguise; the even channel is genuinely one-dimensional, with the
 threshold anomaly delta_plus(0) = pi/2 for any potential that does not
-hold a zero-energy even state. Its outward solution, y(0) = 1 and
-y'(0) = 0, is still the radial regular solution, taken at l = -1:
-r^{l+1} = 1, (-1)!! = 1 and the centrifugal term vanishes. So both
-channels are swept by the radial code, and both bound-state searches
-use the radial root finder.
+hold a zero-energy even state.
 
-The pole relation here reads
+Each channel is one row (l_out, sign) over the radial code (_CHANNEL).
+Its outward solution y is the radial regular solution at l_out: l = 0
+odd, and l = -1 even, where y(0) = 1, y'(0) = 0 since r^{l+1} = 1,
+(-1)!! = 1 and the centrifugal term vanishes. W = W[ft_0, y], read on
+the Jost window as F_0 is, is sign times the channel's origin Jost
+datum: f(k, 0) odd, f'(k, 0) even. The search, the bound-state
+builder, the pole sampler and the wave's scale and phase are the
+radial ones given the row.
 
-    lim_{k -> i alpha} (1/k) sqrt(alpha (alpha^2 + k^2)) v(k, x)
-        = u_alpha(x)
+The pole relation reads
 
-for both parities, with u_alpha normalized over the whole line. The
-extrapolant in t = k^2 is sqrt(alpha (alpha^2 + t)) y(t, x) / sqrt(W(t))
-(times the parity's asymptotic sign), where y is the outward parity
-solution and W(t) = t y(X)^2 + y'(X)^2 its asymptotic strength at the
-matching point; W is entire in t and equals the product of origin Jost
-data on both momentum half-axes, so the same branch bookkeeping as in
-the three-dimensional module applies, through the same sign probe of
-the parity condition just below the pole.
+    lim_{k -> i alpha} (1/k) sqrt(alpha (alpha^2 + k^2)) v(k, x) = u_alpha(x)
 
-Bound states are zeros of the parity conditions on the imaginary axis:
-f'(i alpha, 0) = 0 (even), f(i alpha, 0) = 0 (odd). The convention for
-stored bound states keeps the raw e^{-alpha x} tail coefficient at 1
-and records the constant N that makes N u unit-normalized over the
-line, so N is also the asymptotic normalization constant.
+for both parities, with u_alpha normalized over the whole line, on the
+radial branch bookkeeping (extrapolant_samples_1d). Bound states are
+the zeros of the channel conditions f'(i alpha, 0) (even) and
+f(i alpha, 0) (odd). Stored bound states keep the raw e^{-alpha x}
+tail coefficient at 1 and record the constant N that makes N u
+unit-normalized over the line, so N is also the asymptotic
+normalization constant.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _integrate as ig
 from .errors import NoBoundStateError, SpecError
 from .potentials import Grid, Potential, make_grid
 from .poletheorem import (
@@ -54,18 +50,18 @@ from .poletheorem import (
     PoleComparison,
     PoleExtrapolation,
     ResidueEstimate,
-    _branch_sign,
     _compare,
-    _extrapolant,
     _ladder_residue,
-    _sample_window,
+    _samples,
     extrapolate_to_pole,
 )
-from .radial import _jost, _matched_state, _regular_and_jost, _sweep_regular
-from .spectrum import _regula_falsi, _scan_roots, decay_tail_integral
+from .radial import _condition, _jost, _jost_from_regular, _sweep_regular
+from .spectrum import _normalised, _regula_falsi, _scan_roots
 
-#: the l of the regular solution that is each parity's outward solution
-_L_OUT = {"even": -1, "odd": 0}
+#: each parity's channel row (l_out, sign): the l of the regular solution
+#: that is its outward solution y, and the sign that turns F_0 = W[ft_0, y]
+#: into its origin Jost datum, f(k, 0) odd and f'(k, 0) even
+_CHANNEL = {"even": (-1, -1.0), "odd": (0, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -94,10 +90,10 @@ class Potential1D:
         return float(a)
 
 
-def _check_parity(parity: str) -> str:
-    if parity not in _L_OUT:
-        raise SpecError(f"parity must be one of {tuple(_L_OUT)}, got {parity!r}")
-    return parity
+def _channel(parity: str) -> tuple[int, float]:
+    if parity not in _CHANNEL:
+        raise SpecError(f"parity must be one of {tuple(_CHANNEL)}, got {parity!r}")
+    return _CHANNEL[parity]
 
 
 @dataclass
@@ -120,33 +116,25 @@ class ParitySolution:
 def solve_parity(p: Potential1D, parity: str, k, grid: Grid | None = None) -> ParitySolution:
     """Scattering solution of one parity for real k > 0.
 
-    The parity solution is the radial regular solution at l = -1 or 0:
-    marched out from the parity seed to the top of the Jost window and
-    continued beyond it as the exact free solution. Amplitude and phase
-    are matched to the free asymptote at the outermost grid node.
+    The parity solution is the radial regular solution y at l_out = -1
+    or 0, marched out from the parity seed to the top of the Jost window
+    and continued beyond it as the exact free solution. Its scale and
+    phase come from W = W[ft_0, y] on the Jost window, as the radial
+    physical wave's come from F: y -> |W| / k cos(k x + delta) (even)
+    and |W| / k sin(k x + delta) (odd), with delta = -arg((-ik)^l_out W).
+    So neither depends on r_max.
     """
-    _check_parity(parity)
+    l_out, sign = _channel(parity)
     if grid is None:
         grid = make_grid(p.half)
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if np.any(k <= 0):
         raise SpecError("solve_parity wants real k > 0")
-    y = _sweep_regular(p.half, _L_OUT[parity], k, grid)
-    x_top = grid.r_max
-    y_top = y[-1]
-    dy_top = ig.deriv_backward(y, grid.n, grid.h)
-    if parity == "even":
-        # y -> A cos(k x + delta): phase from (y, -y'/k)
-        phase = np.arctan2(-dy_top, k * y_top) - k * x_top
-    else:
-        # y -> B sin(k x + delta): the stored solution flips to -sin
-        phase = np.arctan2(k * y_top, dy_top) - k * x_top
-    delta = np.angle(np.exp(1j * phase))
-    amp = np.hypot(y_top, dy_top / k)
-    vals = y / amp[None, :]
-    if parity == "odd":
-        vals = -vals
-    return ParitySolution(grid, parity, k, vals, delta)
+    y = _sweep_regular(p.half, l_out, k, grid)
+    w = _jost_from_regular(p.half, 0, k, grid, y)
+    # in place: the real sweep's array becomes the wave
+    y *= (-sign * k / np.abs(w))[None, :]
+    return ParitySolution(grid, parity, k, y, -np.angle((-1j * k) ** l_out * w))
 
 
 def smatrix_1d(p: Potential1D, parity: str, k, grid: Grid | None = None) -> np.ndarray:
@@ -155,25 +143,12 @@ def smatrix_1d(p: Potential1D, parity: str, k, grid: Grid | None = None) -> np.n
     S_plus(k) = -f'(-k, 0) / f'(k, 0), S_minus(k) = f(-k, 0) / f(k, 0);
     unimodular for real k, simple poles at the bound states.
     """
-    _check_parity(parity)
+    l_out, sign = _channel(parity)
     if grid is None:
         grid = make_grid(p.half)
     k = np.atleast_1d(np.asarray(k, dtype=complex))
-    f_up, f_dn = _jost(p.half, _L_OUT[parity], 0, k, grid, minus=True)
-    s = f_dn / f_up
-    return -s if parity == "even" else s
-
-
-def _parity_condition(p: Potential1D, parity: str, kappa, grid: Grid) -> np.ndarray:
-    """The real bound-state condition on the imaginary axis:
-    f'(i kappa, 0) for even, f(i kappa, 0) for odd.
-
-    The Jost function read off the parity solution y is the Wronskian
-    W[ft_0, y], which is constant and equals -f'(k, 0) (even) resp.
-    f(k, 0) (odd) at the origin; the odd one is F_0(k) itself."""
-    k = 1j * np.atleast_1d(np.asarray(kappa, dtype=float))
-    w = _jost(p.half, _L_OUT[parity], 0, k, grid).real
-    return -w if parity == "even" else w
+    f_up, f_dn = _jost(p.half, l_out, 0, k, grid, minus=True)
+    return sign * (f_dn / f_up)
 
 
 @dataclass
@@ -207,18 +182,14 @@ def find_bound_1d(
 ) -> list[BoundState1D]:
     """All bound states of one parity, deepest first.
 
-    Scans the parity condition along the imaginary axis and refines
-    each sign change, with the root finder of the radial bound-state
-    search.
+    Scans the channel condition, f'(i kappa, 0) even and f(i kappa, 0)
+    odd, along the imaginary axis and refines each sign change, with the
+    root finder of the radial bound-state search.
     """
-    _check_parity(parity)
+    l_out, sign = _channel(parity)
     if grid is None:
         grid = make_grid(p.half)
-
-    def condition(kappa):
-        return _parity_condition(p, parity, kappa, grid)
-
-    roots = _scan_roots(p.half, grid, condition)
+    roots = _scan_roots(p.half, grid, _condition(p.half, l_out, 0, sign, grid))
     return [build_bound_1d(p, parity, a, grid) for a in roots]
 
 
@@ -226,11 +197,8 @@ def build_bound_1d(p: Potential1D, parity: str, alpha: float, grid: Grid) -> Bou
     """Construct the bound state at a known alpha of the given parity:
     the parity solution matched to the half-line Jost solution at the
     outer turning point, refused unless the two match."""
-    u = _matched_state(p.half, _L_OUT[_check_parity(parity)], 0, alpha, grid)
-    body = float(ig.simpson(u**2, grid.h))
-    tail = decay_tail_integral(0, alpha, grid.r_max)
-    n_const = 1.0 / math.sqrt(2.0 * (body + tail))
-    return BoundState1D(grid, parity, alpha, u, n_const)
+    u, half_norm = _normalised(p.half, _channel(parity)[0], 0, alpha, grid)
+    return BoundState1D(grid, parity, alpha, u, 1.0 / math.sqrt(2.0 * half_norm))
 
 
 def ground_state_1d(p: Potential1D, parity: str, grid: Grid | None = None) -> BoundState1D:
@@ -247,35 +215,31 @@ def extrapolant_samples_1d(
     grid: Grid,
     *,
     n_samples: int = 6,
-    spacing: float = 0.0005,
+    spacing: float | None = None,
     mode: str = "near",
 ) -> ExtrapolantSamples:
-    """Samples of the one-dimensional extrapolant in t = k^2.
+    """Samples of the one-dimensional extrapolant in t = k^2, from the
+    radial sampler given the channel row (l_out, sign); l is stored as 0.
 
-    h(t, x) = sigma * (+-) sqrt(alpha (alpha^2 + t)) y(t, x) / sqrt(W(t)),
-    with y the outward parity solution and the channel strength
+    h(t, x) = sigma * (-sign) sqrt(alpha (alpha^2 + t)) y(t, x) / sqrt(D(t)),
+    with y the outward solution and the channel strength
 
-        W_even(t) = f'(k, 0) f'(-k, 0),    W_odd(t) = f(k, 0) f(-k, 0),
+        D_even(t) = f'(k, 0) f'(-k, 0),    D_odd(t) = f(k, 0) f(-k, 0),
 
     which equals t y(X)^2 + y'(X)^2 by the Wronskian of f(k) with f(-k)
-    but, unlike that asymptotic form, involves no cancellation between
-    exponentially large terms near a pole. The (+-) is the asymptotic
-    sign of the parity wave (plus for cos, minus for -sin), and sigma
-    the sign of the parity condition just below the pole, the
-    one-dimensional counterpart of the radial branch probe: with it the
-    pole limit is +u_alpha (full-line normalized) for every parity and
-    every depth. W is entire in t, so "near" mode samples
-    t_j = -alpha^2 (1 - spacing j) directly on the bound-state side;
-    "real" mode samples scattering energies t_j = + spacing j alpha^2.
-    Reuses the radial fitting machinery downstream (l is stored as 0).
+    but involves no cancellation between exponentially large terms near
+    a pole. -sign is the asymptotic sign of the parity wave (plus for
+    cos, minus for -sin) and sigma the radial branch probe of the
+    channel condition: with it the pole limit is +u_alpha (full-line
+    normalized) for every parity and depth. D is entire in t, so the
+    "near" and "real" windows are the radial ones, with their default
+    spacings.
     """
-    _check_parity(parity)
-    t, k = _sample_window(alpha, n_samples, spacing, mode)
-    y, f_up, f_dn = _regular_and_jost(p.half, _L_OUT[parity], 0, k, grid)
-    w = (f_up * f_dn).real
-    sigma = _branch_sign(lambda kappa: _parity_condition(p, parity, kappa, grid), alpha)
-    asym = 1.0 if parity == "even" else -1.0
-    return _extrapolant(grid, 0, alpha, t, y, w, sigma, asym * np.sqrt(alpha * (alpha**2 + t)))
+    l_out, sign = _channel(parity)
+    return _samples(
+        p.half, l_out, 0, sign, alpha, grid, n_samples, spacing, mode,
+        lambda t: -sign * np.sqrt(alpha * (alpha**2 + t)),
+    )
 
 
 def compare_to_bound_1d(extrapolation: PoleExtrapolation, state: BoundState1D) -> PoleComparison:
@@ -292,7 +256,7 @@ def pole_extrapolate_1d(
     grid: Grid | None = None,
     *,
     n_samples: int = 6,
-    spacing: float = 0.0005,
+    spacing: float | None = None,
     mode: str = "near",
     order: int = 2,
 ) -> tuple[PoleExtrapolation, PoleComparison]:
@@ -311,9 +275,7 @@ def residue_prediction_1d(parity: str, norm_constant: float) -> complex:
     even channel (from the pole parametrization of S_plus with positive
     residue strength), -2i N^2 for the odd channel (the s-wave radial
     identity with the full-line N absorbing a factor 2)."""
-    _check_parity(parity)
-    sgn = 1.0 if parity == "even" else -1.0
-    return sgn * 2j * norm_constant**2
+    return -_channel(parity)[1] * 2j * norm_constant**2
 
 
 def pole_residue_1d(
@@ -327,7 +289,6 @@ def pole_residue_1d(
 
     Needs the lower-half-plane Jost data, which the radial solver
     refuses outside the analyticity strip of a decaying tail."""
-    _check_parity(parity)
     value, err = _ladder_residue(
         alpha, lambda kappa: (kappa - alpha) * smatrix_1d(p, parity, 1j * kappa, grid).real
     )
@@ -361,23 +322,23 @@ def zero_energy_phase(p: Potential1D, grid: Grid | None = None) -> ZeroEnergyPha
     """
     if grid is None:
         grid = make_grid(p.half)
+    l_out, sign = _CHANNEL["even"]
     scale = p.length_scale()
     k_lo, k_hi = 1e-3 / scale, 0.1 / scale
-
-    def even(kappa):
-        return _parity_condition(p, "even", kappa, grid)
-
-    c = even(np.array([k_lo, k_hi]))
+    ks = np.array([0.02, 0.04, 0.06]) / scale
+    # one window sweep: the condition at i k_lo and i k_hi, the phase
+    # delta = -arg((-ik)^l_out W) of solve_parity at ks
+    w = _jost(p.half, l_out, 0, np.concatenate([1j * np.array([k_lo, k_hi]), ks]), grid)
+    c = sign * w[:2].real
     threshold = None
     # linear extrapolation of the even condition to kappa = 0: a state
     # at (or crossing) threshold makes it vanish there
     c_zero = c[0] - k_lo * (c[1] - c[0]) / (k_hi - k_lo)
     if c[0] * c[1] < 0.0:
+        even = _condition(p.half, l_out, 0, sign, grid)
         threshold = float(_regula_falsi(even, [k_lo], [k_hi], [c[0]], [c[1]])[0])
     elif abs(c_zero) < 1e-3 * max(abs(c[0]), abs(c[1])):
         threshold = 0.0
-    ks = np.array([0.02, 0.04, 0.06]) / scale
-    deltas = solve_parity(p, "even", ks, grid).delta
-    deltas = np.unwrap(deltas)
+    deltas = np.unwrap(-np.angle((-1j * ks) ** l_out * w[2:]))
     coef = np.polyfit(ks, deltas, 2)
     return ZeroEnergyPhase(float(np.polyval(coef, 0.0)), ks, deltas, threshold)

@@ -57,13 +57,14 @@ from .errors import ExtrapolationWarning, NumericalError, SpecError
 from .potentials import Grid, Potential
 from .radial import (
     PhysicalWave,
+    _condition,
     _jost,
     _jost_from_regular,
     _jost_rounding,
+    _regular_and_jost,
     _sweep_regular,
     _window_top,
     jost_function,
-    jost_on_imaginary_axis,
     regular_and_jost,
 )
 from .spectrum import BoundState
@@ -80,6 +81,8 @@ _REL_STEP = 0.01
 #: largest Richardson gauge of the residue ladder, relative to the
 #: residue; ladders with a true relative error above 1e-2 read 0.15 or more
 _LADDER_GAUGE = 0.1
+#: default sample spacing of each window, in units of alpha^2
+_SPACING = {"real": 0.05, "near": 0.0005}
 
 
 @dataclass
@@ -136,30 +139,30 @@ def pole_branch_sign(
     t = -alpha^2 is -u_alpha regardless of how many deeper states the
     well holds.
     """
-    return _branch_sign(
-        lambda kappa: jost_on_imaginary_axis(potential, l, kappa, grid), alpha
-    )
+    return _branch_sign(_condition(potential, l, l, 1.0, grid), alpha)
 
 
 def _sample_window(
-    alpha: float, n_samples: int, spacing: float, mode: str
+    alpha: float, n_samples: int, spacing: float | None, mode: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Energies t_j and momenta k_j of a sample window, j = 1..n.
 
     "real": t_j = spacing alpha^2 j on the scattering side, k_j real.
     "near": t_j = -alpha^2 (1 - spacing j) between the pole and t = 0,
     k_j = i alpha sqrt(1 - spacing j) on the imaginary axis.
+    spacing None is the window's default in _SPACING.
     """
     if not (alpha > 0 and math.isfinite(alpha)):
         raise SpecError("alpha must be positive")
+    if mode not in _SPACING:
+        raise SpecError(f"unknown sampling mode {mode!r}")
+    spacing = _SPACING[mode] if spacing is None else spacing
     if n_samples < 2 or not spacing > 0:
         raise SpecError("need at least 2 samples with positive spacing")
     j = np.arange(1, n_samples + 1)
     if mode == "real":
         t = spacing * alpha**2 * j
         return t, np.sqrt(t)
-    if mode != "near":
-        raise SpecError(f"unknown sampling mode {mode!r}")
     if spacing * n_samples >= 1:
         raise SpecError("sample window must stay between the pole and t = 0")
     frac = 1.0 - spacing * j
@@ -200,20 +203,28 @@ def _extrapolant(
 
 def _samples(
     potential: Potential,
+    l_out: int,
     l: int,
+    sign: float,
     alpha: float,
     grid: Grid,
     n_samples: int,
-    spacing: float,
+    spacing: float | None,
     window: str,
+    pref,
 ) -> ExtrapolantSamples:
-    """g on a window of _sample_window, from one regular sweep of its
-    momenta and the branch probe."""
+    """g on a window of _sample_window for the channel (l_out, sign) of
+    radial._condition: one sweep of the window's momenta for y, F(k) and
+    F(-k), the branch probe of the condition, and pref(t) (_pref in 3D)."""
     t, k = _sample_window(alpha, n_samples, spacing, window)
-    phi, f_up, f_dn = regular_and_jost(potential, l, k, grid)
-    s = pole_branch_sign(potential, l, alpha, grid)
-    pref = alpha**l * math.sqrt(2.0 * alpha) * np.sqrt(alpha**2 + t)
-    return _extrapolant(grid, l, alpha, t, phi, (f_up * f_dn).real, s, pref)
+    y, f_up, f_dn = _regular_and_jost(potential, l_out, l, k, grid)
+    s = _branch_sign(_condition(potential, l_out, l, sign, grid), alpha)
+    return _extrapolant(grid, l, alpha, t, y, (f_up * f_dn).real, s, pref(t))
+
+
+def _pref(l: int, alpha: float):
+    """The radial prefactor alpha^l sqrt(2 alpha (alpha^2 + t)) of t."""
+    return lambda t: alpha**l * math.sqrt(2.0 * alpha) * np.sqrt(alpha**2 + t)
 
 
 def extrapolant_samples(
@@ -223,10 +234,13 @@ def extrapolant_samples(
     grid: Grid,
     *,
     n_samples: int = 6,
-    spacing: float = 0.05,
+    spacing: float | None = None,
 ) -> ExtrapolantSamples:
-    """Sample g at real momenta t_j = j * spacing * alpha^2, j = 1..n."""
-    return _samples(potential, l, alpha, grid, n_samples, spacing, "real")
+    """Sample g at real momenta t_j = j * spacing * alpha^2, j = 1..n;
+    the default spacing is 0.05."""
+    return _samples(
+        potential, l, l, 1.0, alpha, grid, n_samples, spacing, "real", _pref(l, alpha)
+    )
 
 
 def extrapolant_samples_near_pole(
@@ -236,7 +250,7 @@ def extrapolant_samples_near_pole(
     grid: Grid,
     *,
     n_samples: int = 6,
-    spacing: float = 0.0005,
+    spacing: float | None = None,
 ) -> ExtrapolantSamples:
     """Sample g on the imaginary axis at t_j = -alpha^2 (1 - spacing j).
 
@@ -251,11 +265,13 @@ def extrapolant_samples_near_pole(
     recorded as d_side; g takes the square root of d_side D, so it is
     real at every l and tends to -u_alpha (see the module docstring).
 
-    The default window hugs the pole (half a percent of alpha^2 per
-    step): these samples exist to nail the local limit, not to
-    demonstrate extrapolation from scattering energies.
+    The default window hugs the pole (spacing 0.0005, in units of
+    alpha^2 per step): these samples exist to nail the local limit, not
+    to demonstrate extrapolation from scattering energies.
     """
-    return _samples(potential, l, alpha, grid, n_samples, spacing, "near")
+    return _samples(
+        potential, l, l, 1.0, alpha, grid, n_samples, spacing, "near", _pref(l, alpha)
+    )
 
 
 @dataclass
@@ -549,9 +565,7 @@ def gw_extrapolant(
     s = pole_branch_sign(potential, 0, alpha, grid)
     v = s * phi / np.sqrt(d)[None, :]
     t = k * k
-    universal = _extrapolant(
-        grid, 0, alpha, t, phi, d, s, math.sqrt(2.0 * alpha) * np.sqrt(alpha**2 + t)
-    )
+    universal = _extrapolant(grid, 0, alpha, t, phi, d, s, _pref(0, alpha)(t))
     return GwExtrapolant(grid, k, pref[None, :] * v, pref, universal)
 
 

@@ -599,6 +599,19 @@ def _matched_state(
     return np.concatenate([phi[:t] * (ft[2] / phi[t]), ft[2:]])
 
 
+def _condition(potential: Potential, l_out: int, l: int, sign: float, grid: Grid):
+    """The real bound-state condition kappa -> sign F_l(i kappa), read
+    off the outward solution at l_out (_jost): F_l in 3D, row (l, +1);
+    f(i kappa, 0) = F_0 (0, +1) and f'(i kappa, 0) = -F_0 (-1, -1) on
+    the line."""
+
+    def condition(kappa):
+        k = 1j * np.atleast_1d(np.asarray(kappa, dtype=float))
+        return sign * _jost(potential, l_out, l, k, grid).real
+
+    return condition
+
+
 def jost_on_imaginary_axis(
     potential: Potential,
     l: int,

@@ -25,7 +25,7 @@ from . import _integrate as ig
 from ._riccati import free_decay, free_decay_d
 from .errors import NoBoundStateError
 from .potentials import Grid, Potential, make_grid
-from .radial import _matched_state, jost_on_imaginary_axis
+from .radial import _condition, _matched_state
 
 _N_SCAN = 200
 
@@ -187,14 +187,8 @@ def find_bound_states(
     """All bound states for the given l, deepest (largest alpha) first."""
     if grid is None:
         grid = make_grid(potential)
-
-    def condition(kappa):
-        return jost_on_imaginary_axis(potential, l, kappa, grid)
-
-    return [
-        build_bound_state(potential, l, a, grid)
-        for a in _scan_roots(potential, grid, condition)
-    ]
+    roots = _scan_roots(potential, grid, _condition(potential, l, l, 1.0, grid))
+    return [build_bound_state(potential, l, a, grid) for a in roots]
 
 
 def ground_state(
@@ -208,6 +202,17 @@ def ground_state(
     return states[0]
 
 
+def _normalised(
+    potential: Potential, l_out: int, l: int, alpha: float, grid: Grid
+) -> tuple[np.ndarray, float]:
+    """The matched bound state at k = i alpha with unit tail coefficient
+    (radial._matched_state, outward solution at l_out) and the integral
+    of its square over r > 0: Simpson on the grid plus the exact decay
+    tail beyond r_max."""
+    u = _matched_state(potential, l_out, l, alpha, grid)
+    return u, float(ig.simpson(u**2, grid.h)) + decay_tail_integral(l, alpha, grid.r_max)
+
+
 def build_bound_state(
     potential: Potential, l: int, alpha: float, grid: Grid
 ) -> BoundState:
@@ -217,9 +222,8 @@ def build_bound_state(
     accuracy: the outward and inward solutions are matched at the outer
     turning point, and a Wronskian mismatch there refuses anything else.
     """
-    u = _matched_state(potential, l, l, alpha, grid)
-    body = float(ig.simpson(u**2, grid.h))
-    norm = 1.0 / math.sqrt(body + decay_tail_integral(l, alpha, grid.r_max))
+    u, total = _normalised(potential, l, l, alpha, grid)
+    norm = 1.0 / math.sqrt(total)
     return BoundState(grid=grid, l=l, alpha=alpha, u=norm * u, asymptotic_norm=norm)
 
 

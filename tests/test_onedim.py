@@ -22,6 +22,7 @@ from polewave.onedim import (
 )
 from polewave.poletheorem import extrapolant_samples_near_pole, extrapolate_to_pole
 from polewave.potentials import Free, PotentialSpec, make_grid, make_potential
+from polewave.radial import physical_wave
 from polewave.spectrum import find_bound_states
 
 
@@ -43,12 +44,12 @@ def test_even_alpha_is_the_tangent_root(oned41, oned41_even):
 
 
 def test_odd_alpha_is_the_radial_alpha(oned41_odd, sq41_states):
-    """The odd channel of U(|x|) is the s-wave radial problem, so its
-    alpha must coincide with the radial bound state to solver accuracy,
-    and the full-line norm constant is the radial one over sqrt(2)."""
+    """The odd channel of U(|x|) is the s-wave radial problem, and its
+    search runs the radial condition, so its alpha is the radial one bit
+    for bit; the full-line norm constant is the radial one over sqrt(2)."""
     assert len(oned41_odd) == 1
     s1, s3 = oned41_odd[0], sq41_states[0]
-    assert abs(s1.alpha - s3.alpha) < 1e-8
+    assert s1.alpha == s3.alpha
     assert abs(s1.norm_constant - s3.asymptotic_norm / math.sqrt(2.0)) < 1e-8
 
 
@@ -119,6 +120,38 @@ def test_parity_smatrix_unitarity(oned41):
     for parity in ("even", "odd"):
         s = smatrix_1d(p, parity, k, grid)
         assert np.max(np.abs(np.abs(s) - 1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("well", ["sq41", "gauss41", "deep30"])
+def test_parity_phase_is_the_smatrix_phase(well, request):
+    """delta of the parity wave is the phase of its channel's S matrix,
+    S = e^{2 i delta}, to rounding: both are read on the Jost window."""
+    pot, grid = request.getfixturevalue(well)
+    p, k = Potential1D(pot), np.linspace(0.01, 3.0, 300)
+    for parity in ("even", "odd"):
+        delta = solve_parity(p, parity, k, grid).delta
+        assert np.max(np.abs(smatrix_1d(p, parity, k, grid) - np.exp(2j * delta))) < 1e-13
+
+
+@pytest.mark.parametrize("well", ["sq41", "gauss41", "deep30"])
+def test_odd_parity_wave_is_the_radial_s_wave(well, request):
+    """The odd wave -sin(k x + delta) is -k times the radial s wave
+    sin(k r + delta) / k, scaled and phased from the same F."""
+    pot, grid = request.getfixturevalue(well)
+    k = np.linspace(0.01, 3.0, 300)
+    odd = solve_parity(Potential1D(pot), "odd", k, grid)
+    wave = physical_wave(pot, 0, k, grid)
+    assert np.array_equal(odd.delta, wave.delta)
+    gap = np.abs(odd.values + k * wave.values).max(axis=0)
+    assert np.all(gap <= 1e-15 * np.abs(odd.values).max(axis=0))
+
+
+@pytest.mark.parametrize("well", ["sq41", "deep30"])
+def test_zero_energy_phase_does_not_depend_on_rmax(well, request):
+    pot, grid = request.getfixturevalue(well)
+    p = Potential1D(pot)
+    short = make_grid(pot, h=grid.h, r_max=12.0)
+    assert zero_energy_phase(p, grid).delta0 == zero_energy_phase(p, short).delta0
 
 
 def test_zero_energy_phase_law():

@@ -14,7 +14,7 @@ import pytest
 import polewave.poletheorem as poletheorem
 import polewave.radial as radial
 from polewave.cli import main
-from polewave.onedim import extrapolant_samples_1d
+from polewave.onedim import extrapolant_samples_1d, zero_energy_phase
 from polewave.poletheorem import (
     extrapolant_samples,
     extrapolant_samples_near_pole,
@@ -74,6 +74,12 @@ def test_line_sampler_sweeps_once(mode, parity, oned41, oned41_even, oned41_odd,
     state = (oned41_even if parity == "even" else oned41_odd)[0]
     extrapolant_samples_1d(p, parity, state.alpha, grid, mode=mode)
     assert len(sweeps) == 2 and max(sweeps.values()) == 1, sorted(sweeps.values())
+
+
+def test_zero_energy_phase_sweeps_once(oned41, sweeps):
+    """The threshold probes and the three phases share one sweep."""
+    zero_energy_phase(*oned41)
+    assert list(sweeps.values()) == [1]
 
 
 def test_phases_subcommand_sweeps_once(tmp_path, capsys, sweeps):

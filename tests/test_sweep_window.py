@@ -16,8 +16,8 @@ import pytest
 import polewave.spectrum as spectrum
 from polewave.errors import ConditioningWarning
 from polewave.onedim import (
+    _CHANNEL,
     Potential1D,
-    _parity_condition,
     build_bound_1d,
     find_bound_1d,
     smatrix_1d,
@@ -25,6 +25,7 @@ from polewave.onedim import (
 )
 from polewave.poletheorem import _LADDER_POINTS, smatrix_residue
 from polewave.radial import (
+    _condition,
     _cutoff_node,
     _jost,
     _sweep_regular,
@@ -79,13 +80,18 @@ def test_line_channels_read_the_jost_window(well, request):
     pot, grid = request.getfixturevalue(well)
     p = Potential1D(pot)
     kappa = np.array([0.3, 1.0, 1.7])
-    odd = _parity_condition(p, "odd", kappa, grid)
+
+    def condition(parity):
+        l_out, sign = _CHANNEL[parity]
+        return _condition(p.half, l_out, 0, sign, grid)(kappa)
+
+    odd = condition("odd")
     assert np.array_equal(odd, jost_on_imaginary_axis(pot, 0, kappa, grid))
     if well == "sq41":
         # f'(i kappa, 0) of the half-line Jost solution for U = -4 on x < 1
         bigk = np.sqrt(4.0 - kappa**2)
         even = np.exp(-kappa) * (bigk * np.sin(bigk) - kappa * np.cos(bigk))
-        np.testing.assert_allclose(_parity_condition(p, "even", kappa, grid), even, rtol=1e-8)
+        np.testing.assert_allclose(condition("even"), even, rtol=1e-8)
     for k in (K_REAL, K_UP, K_DOWN):
         # S at K_UP needs f at -K_UP, where e^{2 |Im k| r_c} reaches
         # 1e14 on gauss41 (r_c = 5.38)
