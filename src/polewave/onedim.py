@@ -182,14 +182,16 @@ def find_bound_1d(
 ) -> list[BoundState1D]:
     """All bound states of one parity, deepest first.
 
-    Scans the channel condition, f'(i kappa, 0) even and f(i kappa, 0)
-    odd, along the imaginary axis and refines each sign change, with the
-    root finder of the radial bound-state search.
+    The radial bound-state search given the channel row: the channel
+    condition, f'(i kappa, 0) even and f(i kappa, 0) odd, along the
+    imaginary axis, with every state bracketed by the Sturm count of the
+    parity solution y (nodes from x = 0 at l_out = -1, from the first
+    node past it at l_out = 0) and refined by the radial root finder.
     """
     l_out, sign = _channel(parity)
     if grid is None:
         grid = make_grid(p.half)
-    roots = _scan_roots(p.half, grid, _condition(p.half, l_out, 0, sign, grid))
+    roots = _scan_roots(p.half, l_out, 0, sign, grid)
     return [build_bound_1d(p, parity, a, grid) for a in roots]
 
 

@@ -612,6 +612,35 @@ def _condition(potential: Potential, l_out: int, l: int, sign: float, grid: Grid
     return condition
 
 
+def _counted_condition(potential: Potential, l_out: int, l: int, sign: float, grid: Grid):
+    """kappa -> (sign F_l(i kappa), the number of bound states with
+    alpha > kappa), both from the one sweep of the outward solution at
+    l_out that _condition makes, for a batch of kappa > 0.
+
+    The count is Sturm's oscillation count (J. D. Pryce, Numerical
+    Solution of Sturm-Liouville Problems, Oxford 1993): the states
+    deeper than E = -kappa^2 are the zeros of the outward solution on
+    r > 0. Up to the window's top they are its sign changes from its
+    first nonzero node (node 0 at l_out = -1, node 1 otherwise). Beyond
+    it the solution is a ft + b gt with ft decaying, and it crosses zero
+    once more exactly where its sign at the top differs from the sign of
+    b, which is that of the raw F = W[ft, phi] at the window. signbit
+    makes an exact zero at a node count once. The count equals the
+    continuous one while h resolves the local wavelength, which
+    _check_step enforces.
+    """
+
+    def counted(kappa):
+        k = 1j * np.atleast_1d(np.asarray(kappa, dtype=float))
+        phi = _sweep_regular(potential, l_out, k, grid, _window_top(potential, grid))
+        f = _jost_from_regular(potential, l, k, grid, phi).real
+        s = np.signbit(phi[0 if l_out < 0 else 1 :])
+        nodes = np.count_nonzero(s[1:] != s[:-1], axis=0)
+        return sign * f, nodes + (np.signbit(f) != s[-1])
+
+    return counted
+
+
 def jost_on_imaginary_axis(
     potential: Potential,
     l: int,

@@ -2,9 +2,13 @@
 
 A bound state of angular momentum l sits at k = i alpha where the Jost
 function F_l(i alpha) vanishes. Along the imaginary axis our F is exactly
-real (see radial), so the search is a sign-change scan plus a bracketed
-Illinois regula falsi with a bisection safeguard, batched over
-candidates so the grid solves stay vectorized.
+real (see radial). The search brackets every zero by the Sturm count:
+the sweep of the outward solution that reads F(i kappa) also counts its
+nodes, which number the states with alpha > kappa. Cells of a kappa
+batch are split until each holds at most one state, and a batched
+Illinois regula falsi with a bisection safeguard refines each
+bracketed zero. A search that finds fewer states than the count is
+refused, never returned short.
 
 The bound radial function is the regular solution swept out to the
 outer turning point, matched there to the reduced Jost solution
@@ -23,11 +27,9 @@ import numpy as np
 
 from . import _integrate as ig
 from ._riccati import free_decay, free_decay_d
-from .errors import NoBoundStateError
+from .errors import NoBoundStateError, NumericalError
 from .potentials import Grid, Potential, make_grid
-from .radial import _condition, _matched_state
-
-_N_SCAN = 200
+from .radial import _counted_condition, _matched_state
 
 #: relative bracket width at which root refinement stops. The bound-state
 #: conditions are rounding noise within about 1e-11 of a root (the line
@@ -147,36 +149,71 @@ def _ab_factor(f_new, f_old):
     return np.where(m > 0, m, 0.5)
 
 
-def _scan_roots(potential: Potential, grid: Grid, condition) -> list[float]:
-    """Zeros of a real bound-state condition of kappa on (0, sqrt(-min U)],
-    deepest first: a sign scan on _N_SCAN points, then _regula_falsi on
-    every sign change."""
+def _scan_roots(potential: Potential, l_out: int, l: int, sign: float, grid: Grid) -> list[float]:
+    """Zeros of the bound-state condition sign F_l(i kappa) of the channel
+    (l_out, sign) of radial._condition on (0, sqrt(-min U)], deepest
+    first, bracketed by the Sturm count of radial._counted_condition.
+
+    The count of states with alpha > kappa is read on a first batch of
+    _WIDE momenta spread over (lo, sqrt(-min U)]. A cell across which it
+    drops by d > 1 holds d roots and is split at d equally spaced
+    points, all such cells in one batch, until every cell holds at most
+    one. Each cell across which the count drops by exactly 1 holds one
+    simple root, and _regula_falsi refines them all in one batch from
+    the condition values the count sweeps read at the cell ends. If
+    those share a sign, count and condition disagree in rounding at an
+    end, and the root lies within rounding of the end with the smaller
+    value, which is taken as a root. Every sweep, refinement included,
+    marches at most _WIDE momenta and so stays on the blocked path.
+
+    The search is refused (NumericalError) unless the count at
+    sqrt(-min U) is 0 and the distinct roots number the count at lo.
+    """
     umin = float(np.min(potential(grid.r())))
     if umin >= 0.0:
         return []
     amax = math.sqrt(-umin)
+    counted = _counted_condition(potential, l_out, l, sign, grid)
+
+    def sweep(kappa):
+        parts = [counted(kappa[i : i + ig._WIDE]) for i in range(0, kappa.size, ig._WIDE)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
     lo = min(1e-4, 1e-3 * amax)
-    if amax <= lo:
-        return []
-
-    def scan(lo_, hi_):
-        ks = np.linspace(lo_, hi_, _N_SCAN)
-        return ks, condition(ks)
-
-    ks, fv = scan(lo, amax)
-    scale = float(np.median(np.abs(fv))) or 1.0
-    # a near-zero endpoint could hide a sign change just outside; widen once
-    if abs(fv[-1]) < 1e-9 * scale or abs(fv[0]) < 1e-9 * scale:
-        ks, fv = scan(lo * 0.5, amax * 1.01)
-
-    brackets = [
-        i for i in range(_N_SCAN - 1) if fv[i] == 0.0 or fv[i] * fv[i + 1] < 0.0
-    ]
-    if not brackets:
-        return []
-    i = np.array(brackets)
-    roots = _regula_falsi(condition, ks[i], ks[i + 1], fv[i], fv[i + 1])
-    return sorted((float(x) for x in roots), reverse=True)
+    ks = np.linspace(lo, amax, ig._WIDE)
+    fv, n = sweep(ks)
+    if n[-1] != 0:
+        raise NumericalError(
+            f"the Sturm count reads {n[-1]} bound states below the bottom of the "
+            "well; the grid does not resolve this potential"
+        )
+    while True:
+        drop = n[:-1] - n[1:]
+        cells = np.flatnonzero(drop > 1)
+        if not cells.size:
+            break
+        if np.any(ks[cells + 1] - ks[cells] <= _ROOT_RTOL * ks[cells + 1]):
+            raise NumericalError("the Sturm count does not separate two bound states")
+        new = np.concatenate(
+            [np.linspace(ks[i], ks[i + 1], d + 2)[1:-1] for i, d in zip(cells, drop[cells])]
+        )
+        fnew, nnew = sweep(new)
+        order = np.argsort(np.concatenate([ks, new]))
+        ks = np.concatenate([ks, new])[order]
+        fv, n = np.concatenate([fv, fnew])[order], np.concatenate([n, nnew])[order]
+    i = np.flatnonzero(n[:-1] - n[1:] == 1)
+    flo, fhi = fv[i], fv[i + 1]
+    same = np.sign(flo) == np.sign(fhi)
+    at_lo = same & (np.abs(flo) <= np.abs(fhi))
+    flo, fhi = np.where(at_lo, 0.0, flo), np.where(same & ~at_lo, 0.0, fhi)
+    roots = _regula_falsi(lambda x: sweep(x)[0], ks[i], ks[i + 1], flo, fhi)
+    roots = sorted({float(x) for x in roots}, reverse=True)
+    if len(roots) != n[0]:
+        raise NumericalError(
+            f"the bound-state search found {len(roots)} distinct states where the "
+            f"Sturm count reads {n[0]}"
+        )
+    return roots
 
 
 def find_bound_states(
@@ -187,7 +224,7 @@ def find_bound_states(
     """All bound states for the given l, deepest (largest alpha) first."""
     if grid is None:
         grid = make_grid(potential)
-    roots = _scan_roots(potential, grid, _condition(potential, l, l, 1.0, grid))
+    roots = _scan_roots(potential, l, l, 1.0, grid)
     return [build_bound_state(potential, l, a, grid) for a in roots]
 
 

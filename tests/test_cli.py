@@ -1,15 +1,20 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import filecmp
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import polewave
+import polewave.spectrum as spectrum
 from polewave.analytic import SquareWellOracle
-from polewave.cli import main
+from polewave.cli import _OPTIONS, main
 from polewave.errors import ConditioningWarning
 from polewave.potentials import PotentialSpec, make_grid, make_potential
 from polewave.radial import _cutoff_node
@@ -281,6 +286,16 @@ def test_unconverged_residue_exit_code(specs, capsys):
     assert cap.out == ""
 
 
+def test_incomplete_search_exit_code(specs, capsys, monkeypatch):
+    """A search that finds fewer states than the Sturm count is refused
+    with exit 4, not printed short."""
+    refine = spectrum._regula_falsi
+    monkeypatch.setattr(spectrum, "_regula_falsi", lambda *args: refine(*args)[:0])
+    rc, cap = run(["bound", "--potential", specs["wide100"]], capsys)
+    assert rc == 4
+    assert "Sturm count" in cap.err
+
+
 def test_validation_exit_codes(specs, capsys):
     cases = [
         ["phases"],  # missing --potential
@@ -326,3 +341,19 @@ def test_console_entry_point(specs, tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "verdict: n_states = 1"
     assert filecmp.cmp(out1, out2, shallow=False)
+
+
+def test_settable_values_are_counted_once():
+    """The settable values are every defaulted parameter of a public
+    function of a public module, plus every CLI option: 49 when this
+    count was set down. A new knob has to replace an old one."""
+    count = len(_OPTIONS)
+    for info in pkgutil.iter_modules(polewave.__path__):
+        if info.name.startswith("_"):
+            continue
+        module = importlib.import_module(f"polewave.{info.name}")
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if not name.startswith("_") and fn.__module__ == module.__name__:
+                params = inspect.signature(fn).parameters.values()
+                count += sum(p.default is not p.empty for p in params)
+    assert count <= 49

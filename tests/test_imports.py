@@ -1,6 +1,8 @@
 """Import hygiene: the solver and the CLI run on numpy alone, so scipy
 must not load on importing polewave nor on running a subcommand on a
-built-in potential, at l = 0 or at l = 2."""
+built-in potential, at l = 0 or at l = 2. Nor must numpy.ma, which
+costs about 23 ms of CPU per process and which np.median, among
+others, imports on first use."""
 
 import json
 import subprocess
@@ -11,10 +13,11 @@ import pytest
 _CHILD = """
 import contextlib, io, json, sys
 seen = {}
+loaded = lambda: ["scipy" in sys.modules, "numpy.ma" in sys.modules]
 import polewave
-seen["import polewave"] = ["scipy" in sys.modules, 0]
+seen["import polewave"] = loaded() + [0]
 import polewave.cli
-seen["import polewave.cli"] = ["scipy" in sys.modules, 0]
+seen["import polewave.cli"] = loaded() + [0]
 spec = ["--potential", sys.argv[1], "--rmax", "12"]
 deep = ["--potential", sys.argv[2], "--rmax", "12", "--ell", "2"]
 for argv in (
@@ -24,7 +27,7 @@ for argv in (
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         rc = polewave.cli.main(argv)
-    seen[argv[0] + (" --ell 2" if "--ell" in argv else "")] = ["scipy" in sys.modules, rc]
+    seen[argv[0] + (" --ell 2" if "--ell" in argv else "")] = loaded() + [rc]
 print(json.dumps(seen))
 """
 
@@ -48,6 +51,12 @@ def seen(tmp_path_factory):
 
 @pytest.mark.parametrize("step", STEPS)
 def test_scipy_stays_unloaded(seen, step):
-    loaded, rc = seen[step]
+    loaded, _, rc = seen[step]
     assert rc == 0, f"{step} exited {rc}"
     assert not loaded, f"scipy was loaded by the time {step} finished"
+
+
+@pytest.mark.parametrize("step", STEPS)
+def test_numpy_ma_stays_unloaded(seen, step):
+    _, loaded, _ = seen[step]
+    assert not loaded, f"numpy.ma was loaded by the time {step} finished"

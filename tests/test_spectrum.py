@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 from scipy.optimize import brentq
 
+import polewave.spectrum as spectrum
 from polewave.analytic import (
     SquareWellOracle,
     exp_well_bound_alpha,
@@ -15,6 +16,7 @@ from polewave.analytic import (
 )
 from polewave.errors import NoBoundStateError, NumericalError, SpecError
 from polewave.potentials import Free, PotentialSpec, make_grid, make_potential
+from polewave.radial import phase_shift_curve
 from polewave.spectrum import (
     _MAX_STEPS,
     _ROOT_RTOL,
@@ -198,6 +200,94 @@ def test_square_well_spectrum_is_complete(depth, radius):
     assert len(states) == len(expected)
     for s, a in zip(states, expected):
         assert s.alpha == pytest.approx(a, abs=1e-7)
+
+
+@pytest.mark.parametrize("depth, l, count", [(5000.0, 0, 23), (10000.0, 0, 32), (10000.0, 1, 31)])
+def test_deep_square_well_spectrum_is_complete(depth, l, count):
+    """Tens of states, crowded near the bottom of the well: the search
+    returns every root of the closed-form condition, deepest first.
+
+    Tolerance: Numerov marches cos(K r) with the wavenumber
+    K (1 + (K h)^4 / 480) to leading order, so a state whose interior
+    wavenumber is K^2 = U0 - alpha^2 has its energy -alpha^2 off by
+    about K^6 h^4 / 240 <= U0^3 h^4 / 240. The test allows twice that,
+    |alpha - alpha_exact| <= U0^3 h^4 / (240 alpha); the largest error
+    here is 0.9 of the leading estimate, on (10000, 1) at l = 0.
+    """
+    oracle = SquareWellOracle(depth, 1.0)
+    alphas = np.array(oracle.bound_alphas(l))
+    assert alphas.size == count
+    pot = make_potential(PotentialSpec("square", depth, 1.0))
+    h = 1 / 1024
+    states = find_bound_states(pot, l, make_grid(pot, h=h, r_max=8.0))
+    assert len(states) == count
+    found = np.array([s.alpha for s in states])
+    assert np.all(np.abs(found - alphas) <= depth**3 * h**4 / (240.0 * alphas))
+
+
+@pytest.mark.parametrize("depth", [15.0, 60.0])
+def test_levinson_counts_the_p_wave_states(depth):
+    """Levinson's theorem at l = 1, which has no half-bound-state
+    exception: delta(0) - delta(inf) = n pi, n the number of states the
+    search finds. The curve stops at k_max = 60, where the phase still
+    to fall is the first Born term delta_B = (U0 / k^2) int_0^{k a}
+    jhat_1(x)^2 dx (0.126 on (15, 1), 0.502 on (60, 1)) up to higher
+    Born orders. Those are allowed half of delta_B, which stays below
+    pi / 2, so n is pinned."""
+    pot = make_potential(PotentialSpec("square", depth, 1.0))
+    grid = make_grid(pot, h=1 / 256)
+    n = len(find_bound_states(pot, 1, grid))
+    assert n >= 1
+    k_max = 60.0
+    delta = phase_shift_curve(pot, 1, np.geomspace(1e-3, k_max, 1000), grid)
+    born = depth / k_max**2 * quad(lambda x: (np.sin(x) / x - np.cos(x)) ** 2, 0, k_max, limit=200)[0]
+    assert abs(delta[0] - delta[-1] - n * np.pi + born) <= 0.5 * born
+
+
+def test_search_refuses_a_short_list(deep30, monkeypatch):
+    """A refinement that loses a root, and a count that reads a state
+    below the bottom of the well, are refused, not returned short."""
+    pot, grid = deep30
+    refine, counted = spectrum._regula_falsi, spectrum._counted_condition
+    monkeypatch.setattr(
+        spectrum, "_regula_falsi", lambda *args: np.full(2, refine(*args)[0])
+    )
+    with pytest.raises(NumericalError, match="distinct states"):
+        find_bound_states(pot, 0, grid)
+    monkeypatch.setattr(spectrum, "_regula_falsi", refine)
+
+    def one_more(*args):
+        count = counted(*args)
+
+        def shifted(kappa):
+            f, n = count(kappa)
+            return f, n + 1
+
+        return shifted
+
+    monkeypatch.setattr(spectrum, "_counted_condition", one_more)
+    with pytest.raises(NumericalError, match="bottom of the well"):
+        find_bound_states(pot, 0, grid)
+
+
+def test_search_keeps_a_root_at_a_cell_end(sq41, monkeypatch):
+    """A count and a condition that disagree in rounding at a cell end:
+    the count puts the root just above the tenth point of the first
+    batch, the condition just below it. The root is that end, not
+    dropped."""
+    pot, grid = sq41
+    first = []
+
+    def disagreeing(*args):
+        def counted(kappa):
+            if not first:
+                first.append(kappa[10])
+            return kappa - first[0] + 1e-16, (kappa <= first[0]).astype(int)
+
+        return counted
+
+    monkeypatch.setattr(spectrum, "_counted_condition", disagreeing)
+    assert spectrum._scan_roots(pot, 0, 0, 1.0, grid) == [first[0]]
 
 
 def test_step_halving_converges_at_fourth_order(sq41, sq41_oracle):

@@ -13,6 +13,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
+import polewave._integrate as ig
 import polewave.spectrum as spectrum
 from polewave.errors import ConditioningWarning
 from polewave.onedim import (
@@ -24,6 +25,7 @@ from polewave.onedim import (
     solve_parity,
 )
 from polewave.poletheorem import _LADDER_POINTS, smatrix_residue
+from polewave.potentials import PotentialSpec, make_grid, make_potential
 from polewave.radial import (
     _condition,
     _cutoff_node,
@@ -206,3 +208,34 @@ def test_line_search_refines_in_few_calls(well, parity, request, refinement_call
     assert find_bound_1d(Potential1D(pot), parity, grid)
     assert len(refinement_calls) == 1
     assert refinement_calls[0] <= 12
+
+
+@pytest.fixture
+def numerov_widths(monkeypatch):
+    """Momenta per Numerov batch."""
+    widths = []
+    original = ig.numerov
+
+    def spy(u0, u1, w, h, out=None):
+        widths.append(w.shape[1])
+        return original(u0, u1, w, h, out=out)
+
+    monkeypatch.setattr(ig, "numerov", spy)
+    return widths
+
+
+@pytest.mark.parametrize("well", ["sq41", "deep30", "gauss41", "exp905", "square (20000, 1)"])
+def test_searches_march_narrow_batches(well, request, numerov_widths):
+    """Every sweep of a search, the count sweeps and the refinement,
+    marches at most _WIDE momenta, so it stays on the blocked path: also
+    on a well with 45 s-wave states, more than one batch holds."""
+    if well.startswith("square"):
+        pot = make_potential(PotentialSpec("square", 20000.0, 1.0))
+        grid = make_grid(pot, h=1 / 1024, r_max=4.0)
+    else:
+        pot, grid = request.getfixturevalue(well)
+    states = find_bound_states(pot, 0, grid)
+    for parity in ("even", "odd"):
+        states += find_bound_1d(Potential1D(pot), parity, grid)
+    assert len(states) > (ig._WIDE if well.startswith("square") else 0)
+    assert max(numerov_widths) <= ig._WIDE
