@@ -59,11 +59,8 @@ from .radial import (
     PhysicalWave,
     _condition,
     _jost,
-    _jost_from_regular,
-    _jost_rounding,
+    _jost_derivative,
     _regular_and_jost,
-    _sweep_regular,
-    _window_top,
     jost_function,
     regular_and_jost,
 )
@@ -76,8 +73,6 @@ _LADDER_POINTS = 7
 _FIT_DEGREE = 8
 #: Chebyshev nodes of the real-axis residue fit
 _FIT_NODES = 12
-#: step of the Jost derivative, relative to |k0|
-_REL_STEP = 0.01
 #: largest Richardson gauge of the residue ladder, relative to the
 #: residue; ladders with a true relative error above 1e-2 read 0.15 or more
 _LADDER_GAUGE = 0.1
@@ -476,37 +471,12 @@ def smatrix_residue(
 
 @dataclass
 class JostDerivative:
+    """dF_l/dk and its error: the rounding of the Wronskians it is read
+    from. The error excludes the O(h^4) Numerov truncation, which moves
+    F and dF/dk alike."""
+
     value: complex
     error: float
-
-
-def _stencil_derivatives(
-    potential: Potential, l: int, k, grid: Grid, fractions: tuple[float, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """dF_l/dk at every momentum of k by five-point differencing along
-    the axis each momentum lies on, with steps fractions x _REL_STEP |k|,
-    and the rounding of each difference, the rounding of every F
-    (_jost_rounding) carried through the stencil weights; row i of both
-    holds the step fractions[i]. Every stencil goes through one sweep to
-    the Jost window; the columns of a batch do not interact, so each
-    difference is what a sweep of its own would give, up to rounding: a
-    batch of at most _integrate._WIDE momenta is marched in blocks, a
-    wider one node by node (see numerov)."""
-    k = np.atleast_1d(np.asarray(k, dtype=complex))
-    if np.any(k == 0):
-        raise SpecError("the Jost derivative needs k != 0")
-    direction = np.where(np.abs(k.real) < 1e-12 * np.abs(k), 1j, 1.0)
-    steps = direction * (_REL_STEP * np.abs(k)) * np.array(fractions)[:, None]
-    stencil = np.array([-2.0, -1.0, 1.0, 2.0])
-    weights = np.array([1.0, -8.0, 8.0, -1.0])
-    ks = k[:, None] + steps[..., None] * stencil
-    ks = ks.ravel()
-    phi = _sweep_regular(potential, l, ks, grid, _window_top(potential, grid))
-    f = _jost_from_regular(potential, l, ks, grid, phi).reshape(steps.shape + (4,))
-    rounding = _jost_rounding(potential, l, ks, grid, phi).reshape(f.shape)
-    scale = 12.0 * steps
-    d = (f * weights).sum(axis=-1) / scale
-    return d, (rounding * np.abs(weights)).sum(axis=-1) / np.abs(scale)
 
 
 def jost_derivative(
@@ -515,12 +485,10 @@ def jost_derivative(
     k0: complex,
     grid: Grid,
 ) -> JostDerivative:
-    """dF_l/dk at k0 by five-point differencing along the axis k0 lies
-    on; both stencils share one sweep of 8 momenta. The error is the
-    step-halving estimate plus the rounding of the half-step difference."""
-    d, rounding = _stencil_derivatives(potential, l, k0, grid, (0.5, 1.0))
-    d_half, d_full = d[:, 0]
-    return JostDerivative(complex(d_half), float(abs(d_half - d_full) / 15.0 + rounding[0, 0]))
+    """dF_l/dk at k0 != 0 on the real or the imaginary axis, from one
+    sweep of one complex step in E = k0^2 (radial._jost_derivative)."""
+    d, rounding = _jost_derivative(potential, l, k0, grid)
+    return JostDerivative(complex(d[0]), float(rounding[0]))
 
 
 @dataclass
@@ -531,7 +499,7 @@ class GwExtrapolant:
     with its prefactor in prefactor. Exact at the pole like g, and like
     g its error is linear in the distance to the pole, but with a larger
     coefficient (measured on the reference rank-one model) and at the
-    cost of a numerical derivative of F at every momentum. universal
+    cost of one more sweep, for F' at every momentum. universal
     holds the universal form g = sqrt(2 alpha (alpha^2 + k^2)) v(k, r)
     built from the same sweep, as samples at t = k^2.
     """
@@ -553,10 +521,10 @@ def gw_extrapolant(
     on the real or the imaginary axis, both on the branch of the g
     samples, so both aim at -u_alpha and their deviations can be
     compared head to head. One regular sweep serves the wave, F(k) and
-    F(-k); one more, of the stencils of every momentum, serves F'."""
+    F(-k); one complex-step sweep of the same momenta serves F'."""
     k = np.atleast_1d(np.asarray(k, dtype=complex))
     phi, f, f_dn = regular_and_jost(potential, 0, k, grid)
-    fdot = _stencil_derivatives(potential, 0, k, grid, (0.5,))[0][0]
+    fdot = _jost_derivative(potential, 0, k, grid)[0]
     pref = np.sqrt(4j * alpha**2 * f / fdot)
     # the wave normalization |F| continues off the real axis as
     # sqrt(F(k) F(-k)), which vanishes with F at the pole and keeps the

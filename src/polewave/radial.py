@@ -44,8 +44,10 @@ from .potentials import _TAIL_TINY, Grid, Potential, make_grid
 
 #: momenta whose rounding grows by more than this factor get a warning
 _CONDITION_LIMIT = 1e6
+#: the imaginary part of the complex step in E = k^2, relative to |E|
+_COMPLEX_STEP = 1e-30
 #: largest relative Wronskian mismatch of a matched bound state on a
-#: fine grid; a wrong alpha reads O(1)
+#: fine grid; a wrong alpha reads far above it
 _MATCH_TOL = 1e-6
 
 
@@ -217,7 +219,7 @@ def _fill_node(potential: Potential, l: int, k: np.ndarray, grid: Grid) -> int:
     for none. It lies past the Jost window, and where the cancellation of
     the fill, eps (|k| r)^{-(2l+1)} at the smallest nonzero |k|, stays
     within the march's own rounding i^{3/2} eps over i nodes (the
-    estimate of _jost_rounding): i^{2l + 5/2} >= (|k| h)^{-(2l+1)}. A
+    estimate of _rounding): i^{2l + 5/2} >= (|k| h)^{-(2l+1)}. A
     grid that ends inside the range of the potential gets no fill."""
     if potential.cutoff is not None and potential.cutoff >= grid.r_max:
         return grid.n + 1
@@ -526,21 +528,49 @@ def _jost_from_regular(
     return (-1j * k) ** l * wronskian(ft, phi[i - 2 : i + 3], 2, grid.h)
 
 
-def _jost_rounding(potential: Potential, l: int, k, grid: Grid, phi: np.ndarray) -> np.ndarray:
-    """The rounding of F_l(k) read from phi as in _jost_from_regular.
+def _rounding(a: np.ndarray, b: np.ndarray, n: int, h: float) -> np.ndarray:
+    """The rounding of wronskian(a, b, 2, h) on the Jost window, for b
+    swept out over n nodes.
 
-    F is the difference of the Wronskian's two products k^l ft phi' and
-    k^l ft' phi, which cancel near a zero of F, so their magnitudes set
-    the scale. The rounding of a two-step recurrence like Numerov's grows
-    statistically like n^{3/2} eps over n nodes (P. Henrici, Discrete
-    Variable Methods in Ordinary Differential Equations, Wiley 1962),
-    here the nodes swept out to the window."""
+    The Wronskian is the difference of a b' and a' b, which cancel near a
+    zero of F, so their magnitudes set the scale. The rounding of a
+    two-step recurrence like Numerov's grows statistically like
+    n^{3/2} eps over n nodes (P. Henrici, Discrete Variable Methods in
+    Ordinary Differential Equations, Wiley 1962)."""
+    terms = np.abs(a[2] * ig.deriv_central(b, 2, h)) + np.abs(ig.deriv_central(a, 2, h) * b[2])
+    return n**1.5 * np.finfo(float).eps * terms
+
+
+def _jost_derivative(potential: Potential, l: int, k, grid: Grid):
+    """dF_l/dk at momenta k != 0 on the real or the imaginary axis, and
+    its rounding (_rounding), by a complex step in E = k^2 (W. Squire,
+    G. Trapp, SIAM Review 40, 110 (1998)): phi is real for real E and
+    analytic in E, so one sweep to the Jost window at kc = sqrt(E + i eps)
+    gives phi = Re phi(kc) and dphi/dE = Im phi(kc) / Im kc^2 with no step
+    error. Then dF/dk = 2k (-ik)^l (W[a, phi] + W[ft, dphi/dE]), with
+    a = i^{l+1} (l hhat_l(kr) + kr hhat_l'(kr)) / 2E = d(k^l ft)/dE / k^l,
+    is the exact derivative of the F of _jost_from_regular; every factor
+    is real on the imaginary axis, where dF/dk is then exactly imaginary.
+    """
     k = _momenta(k)
+    e = k * k
+    if np.any(k == 0) or np.any(e.imag):
+        raise SpecError("the Jost derivative needs k != 0 on the real or the imaginary axis")
+    _check_jost(potential, l, k, grid)
+    e = e.real
+    kc = np.sqrt(e + 1j * _COMPLEX_STEP * np.abs(e))
     i, h = _wronskian_node(potential, grid), grid.h
-    ft = _free_reduced(l, k, np.arange(i - 2, i + 3) * h)
-    terms = np.abs(ft[2] * ig.deriv_central(phi, i, h))
-    terms += np.abs(ig.deriv_central(ft, 2, h) * phi[i])
-    return (i + 3) ** 1.5 * np.finfo(float).eps * np.abs(k) ** l * terms
+    swept = _sweep_regular(potential, l, kc, grid, i + 2)[i - 2 :]
+    phi, dphi = swept.real, swept.imag / (kc * kc).imag
+    r = np.arange(i - 2, i + 3) * h
+    z = k[None, :] * r[:, None]
+    ft = _free_reduced(l, k, r)
+    a = (1j) ** (l + 1) * (l * hhat_plus(l, z) + z * hhat_plus_d(l, z))
+    a = _on_imaginary_axis(k, a) / (2 * e)
+    c = _on_imaginary_axis(k, (-1j * k) ** l)
+    w = wronskian(a, phi, 2, h) + wronskian(ft, dphi, 2, h)
+    rounding = _rounding(a, phi, i + 3, h) + _rounding(ft, dphi, i + 3, h)
+    return 2 * k * (c * w), 2 * np.abs(k * c) * rounding
 
 
 def _regular_and_jost(potential: Potential, l_out: int, l: int, k, grid: Grid):
@@ -573,8 +603,11 @@ def _matched_state(
     the way it grows, to the outer classical turning point t: the
     outermost node inside r_c where U + l(l+1)/r^2 + alpha^2 < 0. u is
     ft from t on and phi ft(t) / phi(t) inside. alpha is refused unless
-    the relative Wronskian |W| / (|ft phi'| + |ft' phi|) at t is within
-    _MATCH_TOL, or on a grid too coarse for that, (q h)^4.
+    the relative Wronskian |W| / (|ft phi'| + |ft' phi| + q |ft phi|) at
+    t is within _MATCH_TOL, or on a grid too coarse for that, (q h)^4,
+    for the local momentum q of _check_step. The q term keeps the measure
+    finite where both log-derivatives nearly vanish at t, as they do near
+    the edge of a square well whose state lies close to threshold.
     """
     if not (alpha > 0 and math.isfinite(alpha)):
         raise SpecError("alpha must be a positive real number")
@@ -587,10 +620,9 @@ def _matched_state(
     phi = _sweep_regular(potential, l_out, k, grid, t + 2)[:, 0]
     ft = _sweep_jost(potential, l, k, grid, t - 2)[:, 0]
     a, b = ft[2] * ig.deriv_central(phi, t, h), ig.deriv_central(ft, 2, h) * phi[t]
-    mismatch = abs(a - b) / (abs(a) + abs(b))
-    # at a true state this is the truncation error of the two sweeps,
-    # below (q h)^4 for the local momentum q of _check_step
     q2 = np.max(np.abs(pot_r), initial=0.0) + alpha**2
+    # at a true state this is the truncation error of the two sweeps
+    mismatch = abs(a - b) / (abs(a) + abs(b) + math.sqrt(q2) * abs(ft[2] * phi[t]))
     if not mismatch <= max(_MATCH_TOL, (q2 * h * h) ** 2):
         raise NumericalError(
             f"alpha = {alpha:.12g} is not a bound state: the outward and inward "

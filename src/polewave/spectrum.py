@@ -98,7 +98,7 @@ def _regula_falsi(condition, lo, hi, flo, fhi) -> np.ndarray:
     and keeps the sign change. When a secant step keeps the same end as
     the secant step before it, that end's value is scaled down
     (Illinois, with the Anderson-Bjorck factor), so the bracket closes
-    from both sides instead of creeping in from one. Whenever two steps
+    from both sides instead of creeping in from one. Whenever three steps
     have not halved a bracket the next one bisects it. No step is
     shorter than 0.9 times the stopping width, so near the root, where
     the condition is rounding noise, one step across it closes the
@@ -121,7 +121,7 @@ def _regula_falsi(condition, lo, hi, flo, fhi) -> np.ndarray:
             break
         with np.errstate(divide="ignore", invalid="ignore"):
             x = np.clip(b - fb * (b - a) / (fb - fa), a + 0.9 * tol, b - 0.9 * tol)
-        bisect = (slow >= 2) | ~(a < x) | ~(x < b)
+        bisect = (slow >= 3) | ~(a < x) | ~(x < b)
         x = np.where(bisect, 0.5 * (a + b), x)
         fx = np.zeros_like(x)
         fx[live] = condition(x[live])

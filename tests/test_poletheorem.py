@@ -119,7 +119,7 @@ def square_states(depth, l):
             marks=pytest.mark.xfail(
                 strict=True,
                 reason="the shallow l = 2 state (alpha = 0.44) needs a sample window "
-                "sized to the state; ROADMAP item 2",
+                "sized to the state; ROADMAP item 5",
             ),
         ),
         (60.0, 3, 0),
@@ -294,18 +294,48 @@ def test_unconverged_residue_ladder_is_refused():
         pole_residue_1d(p, "even", state.alpha, grid)
 
 
-def test_jost_derivative_error_covers_both_kernel_paths(gauss41, monkeypatch):
-    """The error of dF/dk covers its rounding as well as its truncation:
-    the two Numerov paths round differently, and on gauss41 they differ
-    by at most the error either path reports, 60 momenta on each axis.
-    Without the rounding term the gap reached 14.5x the error (0.8i)."""
-    pot, grid = gauss41
+def test_jost_derivative_error_covers_both_kernel_paths(request, monkeypatch):
+    """The error of dF/dk covers its rounding: the two Numerov paths
+    round differently, and on sq41, gauss41 and exp905 at l = 0 and 1
+    they differ by at most the error either path reports, 60 momenta on
+    each axis."""
     ks = np.concatenate([np.linspace(0.1, 3.0, 60), 1j * np.linspace(0.1, 3.0, 60)])
-    blocked = [jost_derivative(pot, 0, k, grid) for k in ks]
-    monkeypatch.setattr(ig, "_WIDE", 0)
-    loop = [jost_derivative(pot, 0, k, grid) for k in ks]
-    for k, a, b in zip(ks, blocked, loop):
-        assert abs(a.value - b.value) <= min(a.error, b.error), k
+    wide = ig._WIDE
+    for well in ("sq41", "gauss41", "exp905"):
+        pot, grid = request.getfixturevalue(well)
+        for l in (0, 1):
+            monkeypatch.setattr(ig, "_WIDE", wide)
+            blocked = [jost_derivative(pot, l, k, grid) for k in ks]
+            monkeypatch.setattr(ig, "_WIDE", 0)
+            loop = [jost_derivative(pot, l, k, grid) for k in ks]
+            for k, a, b in zip(ks, blocked, loop):
+                assert abs(a.value - b.value) <= min(a.error, b.error), (well, l, k)
+
+
+def _oracle_derivative(oracle, l, k):
+    """dF/dk of the square-well oracle along the axis k lies on, by
+    central differences at steps 0.01 |k| 2^-j, j = 0..3, extrapolated
+    by Richardson, and the gap between its last two levels."""
+    step = (1.0 if k.imag == 0 else 1j) * 0.01 * abs(k) * 0.5 ** np.arange(4)
+    table = [(oracle.jost(l, k + step) - oracle.jost(l, k - step)) / (2 * step)]
+    while table[-1].size > 1:
+        fac = 4.0 ** len(table)
+        table.append((fac * table[-1][1:] - table[-1][:-1]) / (fac - 1.0))
+    return complex(table[-1][0]), abs(table[-1][0] - table[-2][-1])
+
+
+@pytest.mark.parametrize("l", [0, 1, 2])
+@pytest.mark.parametrize("k", [0.3, 1.3, 2.9, 0.5j, 1.5j])
+def test_jost_derivative_converges_to_the_closed_form(k, l, sq41_oracle):
+    """dF/dk against the square-well oracle's, itself converged to
+    1e-12: within 1e-9 at h = 1/1024, where only the O(h^4) Numerov
+    truncation is left; a finite difference in k stalls at rounding
+    long before that."""
+    pot = make_potential(PotentialSpec("square", 4.0, 1.0))
+    ref, gap = _oracle_derivative(sq41_oracle, l, complex(k))
+    assert gap < 1e-12 * abs(ref)
+    jd = jost_derivative(pot, l, k, make_grid(pot, h=1 / 1024))
+    assert abs(jd.value - ref) < 1e-9 * abs(ref)
 
 
 def test_jost_derivative_against_closed_form(sq41, sq41_states):
@@ -319,8 +349,11 @@ def test_jost_derivative_against_closed_form(sq41, sq41_states):
     )
     assert abs(jd.value - complex(ref)) / abs(ref) < 1e-7
     assert jd.error < 1e-8
-    with pytest.raises(SpecError):
-        jost_derivative(pot, 0, 0.0, grid)
+    # k = 0, and k off both axes, where E = k^2 is complex and the
+    # complex step does not apply, are refused
+    for k in (0.0, 1.0 + 0.5j, -0.3 + 0.2j):
+        with pytest.raises(SpecError):
+            jost_derivative(pot, 0, k, grid)
 
 
 def test_derivative_prefactor_form_tracks_ours(sq41, sq41_states):

@@ -202,6 +202,18 @@ def test_square_well_spectrum_is_complete(depth, radius):
         assert s.alpha == pytest.approx(a, abs=1e-7)
 
 
+def test_state_near_threshold_is_matched_where_the_slopes_vanish():
+    """Square (7.376, 0.582) holds one s state, alpha = 0.0276, close to
+    threshold. Inside the edge, where it is matched, phi' and ft' nearly
+    vanish, so a Wronskian relative to |ft phi'| + |ft' phi| alone is
+    ill-conditioned there. The state is found at the default grid and
+    agrees with the closed form."""
+    depth, radius = 7.376134057270368, 0.5821426541047432
+    pot = make_potential(PotentialSpec("square", depth, radius))
+    (state,) = find_bound_states(pot, 0)
+    assert state.alpha == pytest.approx(SquareWellOracle(depth, radius).bound_alphas(0)[0], abs=1e-7)
+
+
 @pytest.mark.parametrize("depth, l, count", [(5000.0, 0, 23), (10000.0, 0, 32), (10000.0, 1, 31)])
 def test_deep_square_well_spectrum_is_complete(depth, l, count):
     """Tens of states, crowded near the bottom of the well: the search
@@ -355,6 +367,18 @@ def test_regula_falsi_root_next_to_a_bracket_end():
         assert lo <= x <= hi
         assert abs(x - root) <= _ROOT_RTOL * root
         assert len(cond.calls) <= 20
+
+
+def test_regula_falsi_steps_from_the_scaled_end():
+    """On 1/x - 0.3 in [0.5, 10], false position creeps in from the far
+    end. The safeguard bisects only once a step from the Anderson-Bjorck
+    scaled end has had its chance, and the bracket closes within five
+    calls."""
+    fn = lambda x: 1.0 / x - 0.3
+    cond = _Counted(fn)
+    x = _regula_falsi(cond, [0.5], [10.0], [fn(0.5)], [fn(10.0)])[0]
+    assert abs(x - 1.0 / 0.3) <= _ROOT_RTOL / 0.3
+    assert len(cond.calls) <= 5
 
 
 def test_regula_falsi_terminates_on_a_noise_floor():

@@ -91,10 +91,11 @@ def test_phases_subcommand_sweeps_once(tmp_path, capsys, sweeps):
 
 
 def test_jost_derivative_sweeps_once(sq41, sq41_states, sweeps):
-    """Both step sizes' stencils share one sweep of 8 momenta."""
+    """dF/dk takes one sweep of one momentum, its complex step."""
     pot, grid = sq41
     jost_derivative(pot, 0, 1j * sq41_states[0].alpha, grid)
     assert sum(sweeps.values()) == 1
+    assert [len(k2) for k2 in sweeps] == [1]
 
 
 @pytest.mark.parametrize("mode", ["near", "real"])
@@ -127,18 +128,21 @@ def test_gw_compare_sweeps_once(mode, tmp_path, capsys, monkeypatch, sweeps):
 
 @pytest.mark.parametrize("nk", [1, 5, 30])
 def test_gw_extrapolant_sweeps_three_sets(nk, sq41, sq41_states, sweeps):
-    """The wave and F take one sweep, the branch probe one, and the
-    derivative stencils of all nk momenta one more, whatever nk is."""
+    """The wave and F take one sweep of the nk momenta, the branch probe
+    one of one momentum, and the derivative one more of nk momenta, their
+    complex steps."""
     pot, grid = sq41
     gw_extrapolant(pot, sq41_states[0].alpha, np.linspace(0.2, 2.5, nk), grid)
     assert len(sweeps) == 3 and sum(sweeps.values()) == 3, sorted(sweeps.values())
+    assert sorted(len(k2) for k2 in sweeps) == sorted([nk, nk, 1])
 
 
 @pytest.mark.parametrize("well", ["sq41", "gauss41"])
 @pytest.mark.parametrize("axis", ["real", "imaginary"])
 def test_gw_prefactor_is_the_per_momentum_form(well, axis, request):
-    """Batching the stencils changes no bit of the prefactor
-    sqrt(4 i alpha^2 F(k) / F'(k)) against one jost_derivative per k."""
+    """Batching the derivative's complex steps changes no bit of the
+    prefactor sqrt(4 i alpha^2 F(k) / F'(k)) against one jost_derivative
+    per k."""
     pot, grid = request.getfixturevalue(well)
     alpha = ground_state(pot, 0, grid).alpha
     k = np.linspace(0.2, 2.5, 5) if axis == "real" else 1j * alpha * np.linspace(0.5, 0.95, 5)
