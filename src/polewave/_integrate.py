@@ -4,10 +4,11 @@ potential discontinuity.
 
 Everything here works on arrays whose leading axis runs over grid nodes
 and whose trailing axis (if any) is a batch of momenta. The columns of a
-batch never interact, but a Numerov sweep takes one of two paths by the
-batch width, and runs in float or complex arithmetic by its dtypes, so a
-column's rounding depends on which side of _WIDE its batch lies and on
-whether the batch is real (see numerov).
+batch never interact, but a Numerov sweep takes one of three paths by
+the batch's width and dtype, and runs in float or complex arithmetic by
+its dtypes (see numerov): a column of a batch wider than _WIDE and a
+real batch of one momentum round as the node-by-node row loop does, a
+column of any other batch as the blocked march does.
 """
 
 from __future__ import annotations
@@ -39,13 +40,17 @@ def numerov(u0, u1, w, h: float, out=None) -> np.ndarray:
 
     The recurrence is g[j+1] u[j+1] = c[j] u[j] - g[j-1] u[j-1] with
     c = 12 - 10 g. A batch of more than _WIDE momenta runs it node by
-    node, one python step per node. A narrower batch, where that python
-    loop costs far more than its arithmetic, is marched in blocks of
-    _BLOCK nodes (_march_blocks): the same recurrence, associated
-    differently. Its values differ from the row loop's in the last bits,
-    so a column's rounding depends on the width of its batch; within one
-    path, a sweep cut short at any node equals the same nodes of the
-    longer sweep bit for bit, because the blocks are anchored at node 0.
+    node, one numpy step per node (_march_rows). A real batch of one
+    momentum runs the same operations in the same order on Python floats
+    (_march_floats), bit for bit the row loop. Any other batch, where
+    the row loop's numpy steps cost far more than their arithmetic, is
+    marched in blocks of _BLOCK nodes (_march_blocks): the same
+    recurrence, associated differently. Its values differ from the row
+    loop's in the last bits, so a column's rounding depends on the
+    width and dtype of its batch; within one path, a sweep cut short at
+    any node equals the same nodes of the longer sweep bit for bit,
+    because the row loops never look ahead and the blocks are anchored
+    at node 0.
 
     Loop / blocked CPU time per call, median of 15 to 41 (2 vCPU,
     numpy 2.4). From 300 nodes up the blocked march wins at every width
@@ -64,6 +69,27 @@ def numerov(u0, u1, w, h: float, out=None) -> np.ndarray:
          300      1       0.77     2.6x     1.6x     0.9x
          300     48       0.87     1.2x     1.0x     0.7x
          100      1       0.26     1.0x     0.6x     0.3x
+
+    One real momentum, blocked against Python floats, CPU ms per call,
+    median of 5 interleaved medians of 40 (2 vCPU, numpy 2.4, Python
+    3.11). The blocked march's fixed cost, about 60 numpy calls, is
+    most of a short sweep; the two tie at 12800 nodes:
+
+        nodes   blocked   floats
+          130     0.34     0.023
+          260     0.35     0.042
+          520     0.37     0.079
+         1300     0.44     0.19
+         4000     0.91     0.64
+         6400     1.21     0.96
+        12800     1.80     1.80
+
+    Python floats cost in proportion to the width, so wider batches stay
+    blocked: five momenta of 4000 nodes take 2.9 ms as five float
+    marches and 1.1 ms blocked. A complex momentum stays blocked too:
+    its column must round as it does in a wider blocked batch (the
+    complex step of poletheorem.jost_derivative), and Python complex
+    numbers take 3.4 ms at 12800 nodes against 2.0 ms blocked.
 
     In float64 against complex, ms per call, median of 7 to 15 (2 vCPU,
     numpy 2.4.6, one run; timings on that host vary by tens of percent
@@ -97,9 +123,9 @@ def numerov(u0, u1, w, h: float, out=None) -> np.ndarray:
     u[0] = u0
     u[1] = u1
     if u[0].size > _WIDE:
-        c = _c_of(g)
-        for j in range(1, w.shape[0] - 1):
-            u[j + 1] = (c[j] * u[j] - g[j - 1] * u[j - 1]) / g[j + 1]
+        _march_rows(u, g)
+    elif u[0].size == 1 and u.dtype == float:
+        _march_floats(u, g)
     else:
         _march_blocks(u, g)
     return u
@@ -110,6 +136,35 @@ def _c_of(g):
     c = np.multiply(g, -10.0)
     c += 12.0
     return c
+
+
+def _march_rows(u, g) -> None:
+    """Fill u[2:] from u[0], u[1] by the Numerov recurrence, one numpy
+    step per node across the batch."""
+    c = _c_of(g)
+    for j in range(1, g.shape[0] - 1):
+        u[j + 1] = (c[j] * u[j] - g[j - 1] * u[j - 1]) / g[j + 1]
+
+
+def _march_floats(u, g) -> None:
+    """Fill u[2:] of one real momentum from u[0], u[1]: the row loop's
+    operations in its order, on Python floats, written back at once.
+
+    Python refuses a division by zero where numpy returns inf or nan; at
+    a vanishing g the row loop then runs instead, so the values carry
+    numpy's inf and nan and the sweep's finiteness check refuses them.
+    """
+    gs = g.ravel().tolist()
+    us = u[:2].ravel().tolist()
+    a, b = us
+    try:
+        for gp, gj, gn in zip(gs, gs[1:], gs[2:]):
+            a, b = b, ((gj * -10.0 + 12.0) * b - gp * a) / gn
+            us.append(b)
+    except ZeroDivisionError:
+        _march_rows(u, g)
+        return
+    u[2:] = np.reshape(us[2:], u[2:].shape)
 
 
 def _march_blocks(u, g) -> None:

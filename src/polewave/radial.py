@@ -69,7 +69,7 @@ def _squares(k: np.ndarray) -> np.ndarray:
 def _check_step(potential: Potential, k2: np.ndarray, grid: Grid, lo: int, hi: int) -> None:
     """Refuse a grid too coarse for the nodes lo..hi that a sweep
     marches: q h <= 0.5 for the largest local momentum q there."""
-    umax = float(np.max(np.abs(potential(grid.r()[lo : hi + 1])), initial=0.0))
+    umax = float(np.max(np.abs(potential(np.arange(lo, hi + 1) * grid.h)), initial=0.0))
     q = math.sqrt(float(np.max(np.abs(k2))) + umax)
     if q * grid.h > 0.5:
         raise StepSizeError(
@@ -88,12 +88,11 @@ def _domains(potential: Potential, grid: Grid):
             if np.isfinite(e) and 0.0 < e < grid.r_max:
                 edges.add(float(e))
     idx = [0] + [grid.index_of(b) for b in sorted(edges)] + [grid.n]
-    r = grid.r()
     out = []
     for i0, i1 in zip(idx[:-1], idx[1:]):
         if i1 - i0 < 5:
             raise GridError("a smooth piece spans fewer than 5 nodes; refine the grid")
-        rmid = 0.5 * (r[i0] + r[i1])
+        rmid = 0.5 * (i0 * grid.h + i1 * grid.h)
         for p in potential.pieces():
             if p.lo <= rmid < p.hi:
                 out.append((i0, i1, p.fn))

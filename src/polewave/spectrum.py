@@ -163,8 +163,11 @@ def _scan_roots(potential: Potential, l_out: int, l: int, sign: float, grid: Gri
     the condition values the count sweeps read at the cell ends. If
     those share a sign, count and condition disagree in rounding at an
     end, and the root lies within rounding of the end with the smaller
-    value, which is taken as a root. Every sweep, refinement included,
-    marches at most _WIDE momenta and so stays on the blocked path.
+    value, which is taken as a root. Every sweep marches at most _WIDE
+    momenta: a batch of two or more on the blocked path, a batch of one,
+    such as the refinement of a single bracket, on Python floats (see
+    _integrate.numerov). A bracket's end values and its refinement can
+    then come from two paths that differ only in rounding.
 
     The search is refused (NumericalError) unless the count at
     sqrt(-min U) is 0 and the distinct roots number the count at lo.

@@ -167,3 +167,45 @@ def test_numerov_fills_the_array_it_is_given(nk):
     numerov(into[0], into[1], w.copy(), H, out=into)
     assert np.array_equal(vals[::-1], ref)
 
+
+
+@pytest.mark.parametrize("n", [100, 1300, 6400])
+def test_single_real_momentum_is_the_row_loop(n):
+    """A float batch of one momentum runs the row loop's recurrence on
+    Python floats: bit for bit the row loop, and so the same column of
+    any float batch wider than _WIDE."""
+    u0, u1, w = _sweep_input(n, np.resize(K_AXES, _WIDE + 1), dtype=float)
+    wide = numerov(u0, u1, w.copy(), H)
+    assert np.array_equal(wide, _row_loop(u0, u1, w, H, dtype=float))
+    for j in range(w.shape[1]):
+        col = slice(j, j + 1)
+        one = numerov(u0[col], u1[col], w[:, col].copy(), H)
+        assert one.dtype == float
+        assert np.array_equal(one, wide[:, col]), j
+
+
+def test_single_complex_momentum_stays_blocked():
+    """A complex batch of one momentum is marched in blocks: each column
+    of the blocked K_MIXED batch, its real momenta included, equals the
+    width-1 sweep of that momentum bit for bit."""
+    u0, u1, w = _sweep_input(1300, K_MIXED)
+    full = numerov(u0, u1, w.copy(), H)
+    for j in range(K_MIXED.size):
+        col = slice(j, j + 1)
+        assert np.array_equal(numerov(u0[col], u1[col], w[:, col].copy(), H), full[:, col]), j
+
+
+@pytest.mark.parametrize("nk", [1, _WIDE + 1])
+def test_vanishing_g_gives_non_finite_values(nk):
+    """Where g = 1 - h^2 w / 12 is exactly 0 at one node, the march of
+    one real momentum raises nothing, as the row loop does: both return
+    numpy's inf and nan from that node on, which the sweeps' finiteness
+    check refuses."""
+    u0, u1, w = _sweep_input(300, np.resize(K_AXES, nk), dtype=float)
+    w[150] = 12.0 / H**2
+    assert np.all(1.0 - (H * H / 12.0) * w[150] == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = numerov(u0, u1, w.copy(), H)
+        ref = _row_loop(u0, u1, w, H, dtype=float)
+    assert np.array_equal(u, ref, equal_nan=True)
+    assert np.all(np.isfinite(u[:150])) and not np.any(np.isfinite(u[150:]))

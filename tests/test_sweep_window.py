@@ -227,8 +227,9 @@ def numerov_widths(monkeypatch):
 @pytest.mark.parametrize("well", ["sq41", "deep30", "gauss41", "exp905", "square (20000, 1)"])
 def test_searches_march_narrow_batches(well, request, numerov_widths):
     """Every sweep of a search, the count sweeps and the refinement,
-    marches at most _WIDE momenta, so it stays on the blocked path: also
-    on a well with 45 s-wave states, more than one batch holds."""
+    marches at most _WIDE momenta, so it stays off the numpy row loop
+    (blocked, or one real momentum on Python floats): also on a well
+    with 45 s-wave states, more than one batch holds."""
     if well.startswith("square"):
         pot = make_potential(PotentialSpec("square", 20000.0, 1.0))
         grid = make_grid(pot, h=1 / 1024, r_max=4.0)
