@@ -88,7 +88,7 @@ def numerov(u0, u1, w, h: float, out=None) -> np.ndarray:
     blocked: five momenta of 4000 nodes take 2.9 ms as five float
     marches and 1.1 ms blocked. A complex momentum stays blocked too:
     its column must round as it does in a wider blocked batch (the
-    complex step of poletheorem.jost_derivative), and Python complex
+    complex step of radial._jost_derivative), and Python complex
     numbers take 3.4 ms at 12800 nodes against 2.0 ms blocked.
 
     In float64 against complex, ms per call, median of 7 to 15 (2 vCPU,

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoBoundStateError, SpecError
-from .potentials import Grid, Potential, make_grid
+from .potentials import Grid, Potential
 from .poletheorem import (
     ExtrapolantSamples,
     PoleComparison,
@@ -55,7 +55,7 @@ from .poletheorem import (
     _samples,
     extrapolate_to_pole,
 )
-from .radial import _condition, _jost, _jost_from_regular, _sweep_regular
+from .radial import _condition, _jost, _jost_from_regular, _mesh, _Mesh, _sweep_regular
 from .spectrum import _normalised, _regula_falsi, _scan_roots
 
 #: each parity's channel row (l_out, sign): the l of the regular solution
@@ -125,16 +125,15 @@ def solve_parity(p: Potential1D, parity: str, k, grid: Grid | None = None) -> Pa
     So neither depends on r_max.
     """
     l_out, sign = _channel(parity)
-    if grid is None:
-        grid = make_grid(p.half)
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if np.any(k <= 0):
         raise SpecError("solve_parity wants real k > 0")
-    y = _sweep_regular(p.half, l_out, k, grid)
-    w = _jost_from_regular(p.half, 0, k, grid, y)
+    mesh = _mesh(p.half, grid)
+    y = _sweep_regular(mesh, l_out, k)
+    w = _jost_from_regular(mesh, 0, k, y)
     # in place: the real sweep's array becomes the wave
     y *= (-sign * k / np.abs(w))[None, :]
-    return ParitySolution(grid, parity, k, y, -np.angle((-1j * k) ** l_out * w))
+    return ParitySolution(mesh.grid, parity, k, y, -np.angle((-1j * k) ** l_out * w))
 
 
 def smatrix_1d(p: Potential1D, parity: str, k, grid: Grid | None = None) -> np.ndarray:
@@ -144,10 +143,8 @@ def smatrix_1d(p: Potential1D, parity: str, k, grid: Grid | None = None) -> np.n
     unimodular for real k, simple poles at the bound states.
     """
     l_out, sign = _channel(parity)
-    if grid is None:
-        grid = make_grid(p.half)
     k = np.atleast_1d(np.asarray(k, dtype=complex))
-    f_up, f_dn = _jost(p.half, l_out, 0, k, grid, minus=True)
+    f_up, f_dn = _jost(_mesh(p.half, grid), l_out, 0, k, minus=True)
     return sign * (f_dn / f_up)
 
 
@@ -189,18 +186,21 @@ def find_bound_1d(
     node past it at l_out = 0) and refined by the radial root finder.
     """
     l_out, sign = _channel(parity)
-    if grid is None:
-        grid = make_grid(p.half)
-    roots = _scan_roots(p.half, l_out, 0, sign, grid)
-    return [build_bound_1d(p, parity, a, grid) for a in roots]
+    mesh = _mesh(p.half, grid)
+    return [_bound_1d(mesh, l_out, parity, a) for a in _scan_roots(mesh, l_out, 0, sign)]
 
 
 def build_bound_1d(p: Potential1D, parity: str, alpha: float, grid: Grid) -> BoundState1D:
     """Construct the bound state at a known alpha of the given parity:
     the parity solution matched to the half-line Jost solution at the
     outer turning point, refused unless the two match."""
-    u, half_norm = _normalised(p.half, _channel(parity)[0], 0, alpha, grid)
-    return BoundState1D(grid, parity, alpha, u, 1.0 / math.sqrt(2.0 * half_norm))
+    l_out = _channel(parity)[0]
+    return _bound_1d(_mesh(p.half, grid), l_out, parity, alpha)
+
+
+def _bound_1d(mesh: _Mesh, l_out: int, parity: str, alpha: float) -> BoundState1D:
+    u, half_norm = _normalised(mesh, l_out, 0, alpha)
+    return BoundState1D(mesh.grid, parity, alpha, u, 1.0 / math.sqrt(2.0 * half_norm))
 
 
 def ground_state_1d(p: Potential1D, parity: str, grid: Grid | None = None) -> BoundState1D:
@@ -239,7 +239,7 @@ def extrapolant_samples_1d(
     """
     l_out, sign = _channel(parity)
     return _samples(
-        p.half, l_out, 0, sign, alpha, grid, n_samples, spacing, mode,
+        _mesh(p.half, grid), l_out, 0, sign, alpha, n_samples, spacing, mode,
         lambda t: -sign * np.sqrt(alpha * (alpha**2 + t)),
     )
 
@@ -322,22 +322,21 @@ def zero_energy_phase(p: Potential1D, grid: Grid | None = None) -> ZeroEnergyPha
     sign change (or collapse) of the even condition f'(i kappa, 0) just
     above kappa = 0 and reported rather than asserted away.
     """
-    if grid is None:
-        grid = make_grid(p.half)
+    mesh = _mesh(p.half, grid)
     l_out, sign = _CHANNEL["even"]
     scale = p.length_scale()
     k_lo, k_hi = 1e-3 / scale, 0.1 / scale
     ks = np.array([0.02, 0.04, 0.06]) / scale
     # one window sweep: the condition at i k_lo and i k_hi, the phase
     # delta = -arg((-ik)^l_out W) of solve_parity at ks
-    w = _jost(p.half, l_out, 0, np.concatenate([1j * np.array([k_lo, k_hi]), ks]), grid)
+    w = _jost(mesh, l_out, 0, np.concatenate([1j * np.array([k_lo, k_hi]), ks]))
     c = sign * w[:2].real
     threshold = None
     # linear extrapolation of the even condition to kappa = 0: a state
     # at (or crossing) threshold makes it vanish there
     c_zero = c[0] - k_lo * (c[1] - c[0]) / (k_hi - k_lo)
     if c[0] * c[1] < 0.0:
-        even = _condition(p.half, l_out, 0, sign, grid)
+        even = _condition(mesh, l_out, 0, sign)
         threshold = float(_regula_falsi(even, [k_lo], [k_hi], [c[0]], [c[1]])[0])
     elif abs(c_zero) < 1e-3 * max(abs(c[0]), abs(c[1])):
         threshold = 0.0

@@ -60,9 +60,10 @@ from .radial import (
     _condition,
     _jost,
     _jost_derivative,
+    _mesh,
+    _Mesh,
     _regular_and_jost,
     jost_function,
-    regular_and_jost,
 )
 from .spectrum import BoundState
 
@@ -134,7 +135,7 @@ def pole_branch_sign(
     t = -alpha^2 is -u_alpha regardless of how many deeper states the
     well holds.
     """
-    return _branch_sign(_condition(potential, l, l, 1.0, grid), alpha)
+    return _branch_sign(_condition(_mesh(potential, grid), l, l, 1.0), alpha)
 
 
 def _sample_window(
@@ -197,12 +198,11 @@ def _extrapolant(
 
 
 def _samples(
-    potential: Potential,
+    mesh: _Mesh,
     l_out: int,
     l: int,
     sign: float,
     alpha: float,
-    grid: Grid,
     n_samples: int,
     spacing: float | None,
     window: str,
@@ -212,9 +212,9 @@ def _samples(
     radial._condition: one sweep of the window's momenta for y, F(k) and
     F(-k), the branch probe of the condition, and pref(t) (_pref in 3D)."""
     t, k = _sample_window(alpha, n_samples, spacing, window)
-    y, f_up, f_dn = _regular_and_jost(potential, l_out, l, k, grid)
-    s = _branch_sign(_condition(potential, l_out, l, sign, grid), alpha)
-    return _extrapolant(grid, l, alpha, t, y, (f_up * f_dn).real, s, pref(t))
+    y, f_up, f_dn = _regular_and_jost(mesh, l_out, l, k)
+    s = _branch_sign(_condition(mesh, l_out, l, sign), alpha)
+    return _extrapolant(mesh.grid, l, alpha, t, y, (f_up * f_dn).real, s, pref(t))
 
 
 def _pref(l: int, alpha: float):
@@ -234,7 +234,7 @@ def extrapolant_samples(
     """Sample g at real momenta t_j = j * spacing * alpha^2, j = 1..n;
     the default spacing is 0.05."""
     return _samples(
-        potential, l, l, 1.0, alpha, grid, n_samples, spacing, "real", _pref(l, alpha)
+        _mesh(potential, grid), l, l, 1.0, alpha, n_samples, spacing, "real", _pref(l, alpha)
     )
 
 
@@ -265,7 +265,7 @@ def extrapolant_samples_near_pole(
     to demonstrate extrapolation from scattering energies.
     """
     return _samples(
-        potential, l, l, 1.0, alpha, grid, n_samples, spacing, "near", _pref(l, alpha)
+        _mesh(potential, grid), l, l, 1.0, alpha, n_samples, spacing, "near", _pref(l, alpha)
     )
 
 
@@ -441,8 +441,10 @@ def smatrix_residue(
     inside the region of analyticity.
     """
     if method == "imaginary_axis":
+        mesh = _mesh(potential, grid)
+
         def rho(kappa):
-            f_up, f_dn = _jost(potential, l, l, 1j * kappa, grid, minus=True)
+            f_up, f_dn = _jost(mesh, l, l, 1j * kappa, minus=True)
             return (kappa - alpha) * f_dn.real / f_up.real
 
         value, err = _ladder_residue(alpha, rho)
@@ -487,7 +489,7 @@ def jost_derivative(
 ) -> JostDerivative:
     """dF_l/dk at k0 != 0 on the real or the imaginary axis, from one
     sweep of one complex step in E = k0^2 (radial._jost_derivative)."""
-    d, rounding = _jost_derivative(potential, l, k0, grid)
+    d, rounding = _jost_derivative(_mesh(potential, grid), l, k0)
     return JostDerivative(complex(d[0]), float(rounding[0]))
 
 
@@ -523,8 +525,9 @@ def gw_extrapolant(
     compared head to head. One regular sweep serves the wave, F(k) and
     F(-k); one complex-step sweep of the same momenta serves F'."""
     k = np.atleast_1d(np.asarray(k, dtype=complex))
-    phi, f, f_dn = regular_and_jost(potential, 0, k, grid)
-    fdot = _jost_derivative(potential, 0, k, grid)[0]
+    mesh = _mesh(potential, grid)
+    phi, f, f_dn = _regular_and_jost(mesh, 0, 0, k)
+    fdot = _jost_derivative(mesh, 0, k)[0]
     pref = np.sqrt(4j * alpha**2 * f / fdot)
     # the wave normalization |F| continues off the real axis as
     # sqrt(F(k) F(-k)), which vanishes with F at the pole and keeps the

@@ -20,6 +20,9 @@ searches in exact real arithmetic. The Jost function is
 normalized so that F = 1 identically for U = 0. Zeros of F_l on the
 positive imaginary axis, k = i alpha, are the bound states; the phase
 shift on the real axis is delta_l = -arg F_l.
+
+Each public function derives U on the grid's nodes, the cutoff node and
+the Jost window once, as a _Mesh, and every sweep it makes reads them.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,45 +70,70 @@ def _squares(k: np.ndarray) -> np.ndarray:
     return k2 if np.any(k2.imag) else k2.real
 
 
-def _check_step(potential: Potential, k2: np.ndarray, grid: Grid, lo: int, hi: int) -> None:
-    """Refuse a grid too coarse for the nodes lo..hi that a sweep
-    marches: q h <= 0.5 for the largest local momentum q there."""
-    umax = float(np.max(np.abs(potential(np.arange(lo, hi + 1) * grid.h)), initial=0.0))
+@dataclass(frozen=True)
+class _Mesh:
+    """U on the nodes of a grid. domains holds one (i0, i1, U on nodes
+    i0..i1) per smooth piece, from that piece's fn, so interface nodes
+    are one-sided; u is U on every node, right-continuous. cutoff is the
+    node r_c past which U counts as zero: a finite range's cutoff, else
+    the first node whose tail integral is at most _TAIL_TINY, at most
+    n - 4 so the Jost window fits (as in suggested_rmax). window, its
+    centre, is r_c + 2, where ft is free and phi well scaled, or n // 2
+    at zero range, away from the origin where ft diverges for l >= 1; F
+    sweeps phi to window + 2. Both resolve on first use, so a grid that
+    ends inside the well serves every sweep that reads no F."""
+
+    potential: Potential
+    grid: Grid
+    domains: tuple
+    u: np.ndarray
+
+    @cached_property
+    def cutoff(self) -> int:
+        if self.potential.cutoff is not None:
+            return self.grid.index_of(self.potential.cutoff)
+        n, h, tail = self.grid.n, self.grid.h, self.potential.tail_integral
+        return bisect.bisect_left(range(n - 4), True, key=lambda i: tail(i * h) <= _TAIL_TINY)
+
+    @cached_property
+    def window(self) -> int:
+        return self.cutoff + 2 if self.cutoff > 0 else self.grid.n // 2
+
+
+def _mesh(potential: Potential, grid: Grid | None = None) -> _Mesh:
+    """The _Mesh of a potential on a grid, by default make_grid's."""
+    if grid is None:
+        grid = make_grid(potential)
+    pieces = potential.pieces()
+    edges = {float(e) for p in pieces for e in (p.lo, p.hi) if 0.0 < e < grid.r_max}
+    idx = [0] + [grid.index_of(b) for b in sorted(edges)] + [grid.n]
+    domains = []
+    for i0, i1 in zip(idx[:-1], idx[1:]):
+        rmid = 0.5 * (i0 * grid.h + i1 * grid.h)
+        fn = next((p.fn for p in pieces if p.lo <= rmid < p.hi), None)
+        if fn is None:
+            raise GridError(f"no potential piece covers r = {rmid:g}")
+        domains.append((i0, i1, np.asarray(fn(np.arange(i0, i1 + 1) * grid.h), dtype=float)))
+    u = np.concatenate([v[:-1] for _, _, v in domains] + [domains[-1][2][-1:]])
+    return _Mesh(potential, grid, tuple(domains), u)
+
+
+def _check_step(mesh: _Mesh, k2: np.ndarray, lo: int, hi: int) -> None:
+    """Refuse a grid too coarse for the nodes lo..hi that a sweep marches
+    (q h <= 0.5 at the largest local momentum q), then one with a piece under 5 nodes."""
+    umax = float(np.max(np.abs(mesh.u[lo : hi + 1]), initial=0.0))
     q = math.sqrt(float(np.max(np.abs(k2))) + umax)
-    if q * grid.h > 0.5:
+    if q * mesh.grid.h > 0.5:
         raise StepSizeError(
-            f"grid step h = {grid.h:g} is too coarse for local momentum {q:.3g} "
+            f"grid step h = {mesh.grid.h:g} is too coarse for local momentum {q:.3g} "
             f"(need q h <= 0.5)"
         )
+    if any(i1 - i0 < 5 for i0, i1, _ in mesh.domains):
+        raise GridError("a smooth piece spans fewer than 5 nodes; refine the grid")
 
 
-def _domains(potential: Potential, grid: Grid):
-    """Split the node range at piece boundaries; each part carries the
-    fn of the smooth piece that governs it, so interface nodes get
-    one-sided values and no fn is evaluated outside its own piece."""
-    edges = set()
-    for p in potential.pieces():
-        for e in (p.lo, p.hi):
-            if np.isfinite(e) and 0.0 < e < grid.r_max:
-                edges.add(float(e))
-    idx = [0] + [grid.index_of(b) for b in sorted(edges)] + [grid.n]
-    out = []
-    for i0, i1 in zip(idx[:-1], idx[1:]):
-        if i1 - i0 < 5:
-            raise GridError("a smooth piece spans fewer than 5 nodes; refine the grid")
-        rmid = 0.5 * (i0 * grid.h + i1 * grid.h)
-        for p in potential.pieces():
-            if p.lo <= rmid < p.hi:
-                out.append((i0, i1, p.fn))
-                break
-        else:
-            raise GridError(f"no potential piece covers r = {rmid:g}")
-    return out
-
-
-def _w_block(fn, r_sl: np.ndarray, l: int, k2: np.ndarray) -> np.ndarray:
-    """w = U + l(l+1)/r^2 - k^2 on a node slice, shape (nodes, nk)."""
-    u = np.asarray(fn(r_sl), dtype=float)
+def _w_block(u: np.ndarray, r_sl: np.ndarray, l: int, k2: np.ndarray) -> np.ndarray:
+    """w = U + l(l+1)/r^2 - k^2 on a node slice from U there, shape (nodes, nk)."""
     cf = np.zeros_like(r_sl)
     nz = r_sl > 0
     cf[nz] = l * (l + 1) / r_sl[nz] ** 2
@@ -161,9 +190,7 @@ def _origin_series(potential: Potential, l: int, k2):
     return series
 
 
-def _sweep_regular(
-    potential: Potential, l: int, k, grid: Grid, top: int | None = None
-) -> np.ndarray:
+def _sweep_regular(mesh: _Mesh, l: int, k, top: int | None = None) -> np.ndarray:
     """Values of the regular solution for l >= -1 on nodes 0..top
     (default the whole grid), shape (top + 1, nk).
 
@@ -179,31 +206,32 @@ def _sweep_regular(
     """
     k = _momenta(k)
     k2 = _squares(k)
+    grid = mesh.grid
     whole = top is None
     if whole:
-        top = _fill_node(potential, max(l, 0), k, grid) - 1
-    _check_step(potential, k2, grid, 0, top)
+        top = _fill_node(mesh, max(l, 0), k) - 1
+    _check_step(mesh, k2, 0, top)
     h, r = grid.h, grid.r()
-    seed = _origin_series(potential, l, k2)
+    seed = _origin_series(mesh.potential, l, k2)
     s = 0 if l < 0 else 1
     vals = np.empty((grid.n + 1 if whole else top + 1, k.size), dtype=k2.dtype)
     vals[0] = 0.0
-    for i0, i1, fn in _domains(potential, grid):
+    for i0, i1, u in mesh.domains:
         if i0 >= top:
             break
         i1 = min(i1, top)
-        w = _w_block(fn, r[i0 : i1 + 1], l, k2)
+        w = _w_block(u[: i1 - i0 + 1], r[i0 : i1 + 1], l, k2)
         if i0 == 0:
             vals[s] = seed(r[s])
             vals[s + 1] = seed(r[s + 1])
             ig.numerov(vals[s], vals[s + 1], w[s:], h, out=vals[s : i1 + 1])
         else:
             du = ig.deriv_backward(vals, i0, h)
-            w0, w1, w2 = _sided_w(potential, l, r[i0], +1, k2)
+            w0, w1, w2 = _sided_w(mesh.potential, l, r[i0], +1, k2)
             vals[i0 + 1] = ig.taylor_step(vals[i0], du, h, w0, w1, w2)
             ig.numerov(vals[i0], vals[i0 + 1], w, h, out=vals[i0 : i1 + 1])
     if whole and top < grid.n:
-        _free_fill(max(l, 0), k, grid, _wronskian_node(potential, grid), vals, top + 1)
+        _free_fill(max(l, 0), k, grid, mesh.window, vals, top + 1)
     if not np.all(np.isfinite(vals)):
         raise NumericalError("regular solution overflowed; reduce r_max or check inputs")
     return vals
@@ -213,18 +241,19 @@ def _sweep_regular(
 _FILL_BLOCK = 64
 
 
-def _fill_node(potential: Potential, l: int, k: np.ndarray, grid: Grid) -> int:
+def _fill_node(mesh: _Mesh, l: int, k: np.ndarray) -> int:
     """The first node of the free fill of a whole-grid sweep, or n + 1
     for none. It lies past the Jost window, and where the cancellation of
     the fill, eps (|k| r)^{-(2l+1)} at the smallest nonzero |k|, stays
     within the march's own rounding i^{3/2} eps over i nodes (the
     estimate of _rounding): i^{2l + 5/2} >= (|k| h)^{-(2l+1)}. A
     grid that ends inside the range of the potential gets no fill."""
-    if potential.cutoff is not None and potential.cutoff >= grid.r_max:
-        return grid.n + 1
+    cutoff, n = mesh.potential.cutoff, mesh.grid.n
+    if cutoff is not None and cutoff >= mesh.grid.r_max:
+        return n + 1
     kmin = np.min(np.abs(k[k != 0]), initial=np.inf)
-    rounding = (kmin * grid.h) ** (-(2 * l + 1) / (2 * l + 2.5))
-    return math.ceil(min(max(_window_top(potential, grid) + 1, rounding), grid.n + 1))
+    rounding = (kmin * mesh.grid.h) ** (-(2 * l + 1) / (2 * l + 2.5))
+    return math.ceil(min(max(mesh.window + 3, rounding), n + 1))
 
 
 def _free_fill(l: int, k: np.ndarray, grid: Grid, i: int, vals: np.ndarray, s: int) -> None:
@@ -309,7 +338,7 @@ def solve_regular(potential: Potential, l: int, k, grid: Grid) -> RadialSolution
     if l < 0:
         raise SpecError("l must be a non-negative integer")
     k = _momenta(k)
-    return RadialSolution(grid, l, k, _sweep_regular(potential, l, k, grid))
+    return RadialSolution(grid, l, k, _sweep_regular(_mesh(potential, grid), l, k))
 
 
 def _on_imaginary_axis(k: np.ndarray, ft: np.ndarray) -> np.ndarray:
@@ -331,7 +360,7 @@ def _free_reduced_d(l: int, k: np.ndarray, r0: float) -> np.ndarray:
 def solve_jost_reduced(potential: Potential, l: int, k, grid: Grid) -> RadialSolution:
     """Inward integration of the reduced Jost solution ft_l = (-i)^l f_l.
 
-    Beyond the cutoff node r_c of _cutoff_node, U counts as zero and ft
+    Beyond the cutoff node r_c (_Mesh), U counts as zero and ft
     is the exact free solution; the sweep starts from r_c with an
     analytic derivative. This holds for every potential, a decaying tail
     included, so no value depends on r_max. Momenta with Im k < 0 are
@@ -349,31 +378,16 @@ def solve_jost_reduced(potential: Potential, l: int, k, grid: Grid) -> RadialSol
     bound state sweeps it in only to its match node (_matched_state).
     """
     k = _momenta(k)
-    return RadialSolution(grid, l, k, _sweep_jost(potential, l, k, grid, 0))
+    return RadialSolution(grid, l, k, _sweep_jost(_mesh(potential, grid), l, k, 0))
 
 
-def _cutoff_node(potential: Potential, grid: Grid) -> int:
-    """The node r_c beyond which U counts as zero: the cutoff of a
-    finite-range potential, else the first node past which the tail
-    integral is at most _TAIL_TINY, at most n - 4 so that the Wronskian
-    window fits on the grid. suggested_rmax uses the same bound, so a
-    default grid reaches past r_c."""
-    if potential.cutoff is not None:
-        return grid.index_of(potential.cutoff)
-    return bisect.bisect_left(
-        range(grid.n - 4),
-        True,
-        key=lambda i: potential.tail_integral(i * grid.h) <= _TAIL_TINY,
-    )
-
-
-def _check_strip(potential: Potential, grid: Grid, m: int, kappa: float) -> None:
+def _check_strip(mesh: _Mesh, kappa: float) -> None:
     """Refuse Im k = -kappa < 0 outside the analyticity strip of the
     tail. The solution growing like e^{kappa r} lifts the tail neglected
     beyond r_c by up to e^{2 kappa (r - r_c)}; that weighted tail must
     decay over the grid and stay below 1e-9."""
-    r = np.linspace(m * grid.h, grid.r_max, 33)
-    tail = np.array([potential.tail_integral(x) for x in r])
+    r = np.linspace(mesh.cutoff * mesh.grid.h, mesh.grid.r_max, 33)
+    tail = np.array([mesh.potential.tail_integral(x) for x in r])
     leak = tail * np.exp(np.minimum(2.0 * kappa * (r - r[0]), 700.0))
     if (leak[-1] > 0.0 and leak[-1] >= leak[0]) or leak.max() > 1e-9:
         raise SpecError(
@@ -383,7 +397,7 @@ def _check_strip(potential: Potential, grid: Grid, m: int, kappa: float) -> None
         )
 
 
-def _check_jost(potential: Potential, l: int, k: np.ndarray, grid: Grid) -> None:
+def _check_jost(mesh: _Mesh, l: int, k: np.ndarray) -> None:
     """The refusals of the Jost solution ft_l at momenta k, and the
     warning where rounding inside the cutoff node grows past
     _CONDITION_LIMIT."""
@@ -393,24 +407,24 @@ def _check_jost(potential: Potential, l: int, k: np.ndarray, grid: Grid) -> None
         raise SpecError("k = 0 is not meaningful for the Jost solution with l >= 1")
     im_min = float(np.min(k.imag))
     if im_min < 0:
-        m = _cutoff_node(potential, grid)
-        _check_strip(potential, grid, m, -im_min)
+        _check_strip(mesh, -im_min)
         # At Im k > 0, ft is the solution that grows inward, which is
         # stable. At Im k < 0 it decays inward, so inside r_c the
         # growing solution can lift rounding by exp(2 |Im k| r_c): in
         # the inward sweep, and in the Wronskian with phi, which grows
         # outward like it.
-        factor = math.exp(-2.0 * im_min * m * grid.h)
+        m, h = mesh.cutoff, mesh.grid.h
+        factor = math.exp(-2.0 * im_min * m * h)
         if factor > _CONDITION_LIMIT:
             warnings.warn(
-                f"Im k < 0 inside the cutoff node r = {m * grid.h:g} amplifies "
+                f"Im k < 0 inside the cutoff node r = {m * h:g} amplifies "
                 f"rounding by exp(2 |Im k| r) = {factor:.2e}",
                 ConditioningWarning,
                 stacklevel=4,
             )
 
 
-def _sweep_jost(potential: Potential, l: int, k, grid: Grid, lo: int) -> np.ndarray:
+def _sweep_jost(mesh: _Mesh, l: int, k, lo: int) -> np.ndarray:
     """Values of ft_l on nodes lo..n, shape (n - lo + 1, nk).
 
     The free solution is filled in from the cutoff node r_c on, and the
@@ -423,10 +437,10 @@ def _sweep_jost(potential: Potential, l: int, k, grid: Grid, lo: int) -> np.ndar
     """
     k = _momenta(k)
     k2 = _squares(k)
-    _check_jost(potential, l, k, grid)
+    _check_jost(mesh, l, k)
+    grid, m = mesh.grid, mesh.cutoff
     h, r = grid.h, grid.r()
-    m = _cutoff_node(potential, grid)
-    _check_step(potential, k2, grid, lo, m)
+    _check_step(mesh, k2, lo, m)
     stop = max(lo, 1 if l >= 1 else 0)
     free = max(m, 1, lo)
     ft = _free_reduced(l, k, r[free:])
@@ -436,18 +450,18 @@ def _sweep_jost(potential: Potential, l: int, k, grid: Grid, lo: int) -> np.ndar
     if m == 0 and lo == 0:
         vals[0] = 1.0 if l == 0 else 0.0
     # the smooth pieces inside r_c, the last one clipped there
-    inner = [(i0, min(i1, m), fn) for i0, i1, fn in _domains(potential, grid) if i0 < m]
-    for i0, i1, fn in reversed(inner):
+    inner = [(i0, min(i1, m), u) for i0, i1, u in mesh.domains if i0 < m]
+    for i0, i1, u in reversed(inner):
         if i1 <= lo:
             break
         if i1 == m:
             du = _free_reduced_d(l, k, r[m])
         else:
             du = ig.deriv_forward(vals, i1 - lo, h)
-        w0, w1, w2 = _sided_w(potential, l, r[i1], -1, k2)
+        w0, w1, w2 = _sided_w(mesh.potential, l, r[i1], -1, k2)
         vals[i1 - 1 - lo] = ig.taylor_step(vals[i1 - lo], du, -h, w0, w1, w2)
         i_lo = max(i0, stop)
-        w_rev = _w_block(fn, r[i_lo : i1 + 1], l, k2)[::-1]
+        w_rev = _w_block(u[i_lo - i0 : i1 + 1 - i0], r[i_lo : i1 + 1], l, k2)[::-1]
         into = vals[i_lo - lo : i1 + 1 - lo][::-1]
         ig.numerov(vals[i1 - lo], vals[i1 - 1 - lo], w_rev, h, out=into)
     if l >= 1 and lo == 0:
@@ -464,20 +478,6 @@ def wronskian(a: np.ndarray, b: np.ndarray, i: int, h: float) -> np.ndarray:
     return a[i] * db - da * b[i]
 
 
-def _wronskian_node(potential: Potential, grid: Grid) -> int:
-    """Two nodes outside the cutoff node, where ft is the free solution
-    and phi is well scaled. A zero-range potential takes the midpoint
-    instead, away from the origin where ft diverges for l >= 1."""
-    m = _cutoff_node(potential, grid)
-    return m + 2 if m > 0 else grid.n // 2
-
-
-def _window_top(potential: Potential, grid: Grid) -> int:
-    """The top node of the Jost window, the last the outward solution
-    is swept to for F."""
-    return _wronskian_node(potential, grid) + 2
-
-
 def jost_function(
     potential: Potential,
     l: int,
@@ -491,40 +491,37 @@ def jost_function(
     imaginary axis. F is read on the Jost window (see _jost), so it
     does not depend on r_max.
     """
-    if grid is None:
-        grid = make_grid(potential)
-    return _jost(potential, l, l, _momenta(k), grid)
+    k = _momenta(k)
+    return _jost(_mesh(potential, grid), l, l, k)
 
 
-def _jost(potential: Potential, l_out: int, l: int, k, grid: Grid, minus: bool = False):
+def _jost(mesh: _Mesh, l_out: int, l: int, k, minus: bool = False):
     """F_l(k), and with minus the pair F_l(k), F_l(-k), from one sweep of
     the outward solution at l_out (l in 3D; -1 even, 0 odd on the line,
     where F_0 is f'(k, 0) resp. f(k, 0) up to sign).
 
     The Wronskian is read on the Jost window, the five nodes around
-    _wronskian_node just outside the cutoff node, where ft is the free
+    mesh.window just outside the cutoff node, where ft is the free
     solution for every potential; the outward solution is swept out to
     the window's top and no further. The values are bit-identical to
     the Wronskian of full-grid sweeps at the same momenta.
     """
-    phi = _sweep_regular(potential, l_out, k, grid, _window_top(potential, grid))
-    f = _jost_from_regular(potential, l, k, grid, phi)
-    return (f, _jost_from_regular(potential, l, -np.asarray(k), grid, phi)) if minus else f
+    phi = _sweep_regular(mesh, l_out, k, mesh.window + 2)
+    f = _jost_from_regular(mesh, l, k, phi)
+    return (f, _jost_from_regular(mesh, l, -np.asarray(k), phi)) if minus else f
 
 
-def _jost_from_regular(
-    potential: Potential, l: int, k, grid: Grid, phi: np.ndarray
-) -> np.ndarray:
+def _jost_from_regular(mesh: _Mesh, l: int, k, phi: np.ndarray) -> np.ndarray:
     """F_l(k) from outward-solution values phi already swept at momenta
     with the same k^2, so phi swept at k serves F(-k) as well: phi
     depends on k only through k^2, and (-k)^2 equals k^2 exactly. phi
     must reach the top of the Jost window, where ft is the free
     solution."""
     k = _momenta(k)
-    _check_jost(potential, l, k, grid)
-    i = _wronskian_node(potential, grid)
-    ft = _free_reduced(l, k, np.arange(i - 2, i + 3) * grid.h)
-    return (-1j * k) ** l * wronskian(ft, phi[i - 2 : i + 3], 2, grid.h)
+    _check_jost(mesh, l, k)
+    i, h = mesh.window, mesh.grid.h
+    ft = _free_reduced(l, k, np.arange(i - 2, i + 3) * h)
+    return (-1j * k) ** l * wronskian(ft, phi[i - 2 : i + 3], 2, h)
 
 
 def _rounding(a: np.ndarray, b: np.ndarray, n: int, h: float) -> np.ndarray:
@@ -540,7 +537,7 @@ def _rounding(a: np.ndarray, b: np.ndarray, n: int, h: float) -> np.ndarray:
     return n**1.5 * np.finfo(float).eps * terms
 
 
-def _jost_derivative(potential: Potential, l: int, k, grid: Grid):
+def _jost_derivative(mesh: _Mesh, l: int, k):
     """dF_l/dk at momenta k != 0 on the real or the imaginary axis, and
     its rounding (_rounding), by a complex step in E = k^2 (W. Squire,
     G. Trapp, SIAM Review 40, 110 (1998)): phi is real for real E and
@@ -555,11 +552,11 @@ def _jost_derivative(potential: Potential, l: int, k, grid: Grid):
     e = k * k
     if np.any(k == 0) or np.any(e.imag):
         raise SpecError("the Jost derivative needs k != 0 on the real or the imaginary axis")
-    _check_jost(potential, l, k, grid)
+    _check_jost(mesh, l, k)
     e = e.real
     kc = np.sqrt(e + 1j * _COMPLEX_STEP * np.abs(e))
-    i, h = _wronskian_node(potential, grid), grid.h
-    swept = _sweep_regular(potential, l, kc, grid, i + 2)[i - 2 :]
+    i, h = mesh.window, mesh.grid.h
+    swept = _sweep_regular(mesh, l, kc, i + 2)[i - 2 :]
     phi, dphi = swept.real, swept.imag / (kc * kc).imag
     r = np.arange(i - 2, i + 3) * h
     z = k[None, :] * r[:, None]
@@ -572,13 +569,13 @@ def _jost_derivative(potential: Potential, l: int, k, grid: Grid):
     return 2 * k * (c * w), 2 * np.abs(k * c) * rounding
 
 
-def _regular_and_jost(potential: Potential, l_out: int, l: int, k, grid: Grid):
+def _regular_and_jost(mesh: _Mesh, l_out: int, l: int, k):
     """The outward solution at l_out on the whole grid (marched to the
     Jost window, free beyond it), with F_l(k) and F_l(-k) read from it
     on the window."""
-    phi = _sweep_regular(potential, l_out, k, grid)
-    f = _jost_from_regular(potential, l, k, grid, phi)
-    return phi, f, _jost_from_regular(potential, l, -np.asarray(k), grid, phi)
+    phi = _sweep_regular(mesh, l_out, k)
+    f = _jost_from_regular(mesh, l, k, phi)
+    return phi, f, _jost_from_regular(mesh, l, -np.asarray(k), phi)
 
 
 def regular_and_jost(
@@ -588,12 +585,10 @@ def regular_and_jost(
     the real axis S_l(k) = F_l(-k) / F_l(k)."""
     if l < 0:
         raise SpecError("l must be a non-negative integer")
-    return _regular_and_jost(potential, l, l, k, grid)
+    return _regular_and_jost(_mesh(potential, grid), l, l, k)
 
 
-def _matched_state(
-    potential: Potential, l_out: int, l: int, alpha: float, grid: Grid
-) -> np.ndarray:
+def _matched_state(mesh: _Mesh, l_out: int, l: int, alpha: float) -> np.ndarray:
     """The bound-state function at k = i alpha with unit tail coefficient,
     by outward/inward matching (J. W. Cooley, Math. Comp. 15, 363 (1961)).
 
@@ -611,13 +606,13 @@ def _matched_state(
     if not (alpha > 0 and math.isfinite(alpha)):
         raise SpecError("alpha must be a positive real number")
     k = np.array([1j * alpha])
-    h, r = grid.h, grid.r()[1 : _cutoff_node(potential, grid) + 1]
-    pot_r = potential(r)
+    grid, m = mesh.grid, mesh.cutoff
+    h, r, pot_r = grid.h, grid.r()[1 : m + 1], mesh.u[1 : m + 1]
     allowed = np.flatnonzero(pot_r + l * (l + 1) / r**2 + alpha**2 < 0)
     # both five-node stencils stay on the grid
     t = min(max(int(allowed[-1]) + 1 if allowed.size else 0, 2), grid.n - 2)
-    phi = _sweep_regular(potential, l_out, k, grid, t + 2)[:, 0]
-    ft = _sweep_jost(potential, l, k, grid, t - 2)[:, 0]
+    phi = _sweep_regular(mesh, l_out, k, t + 2)[:, 0]
+    ft = _sweep_jost(mesh, l, k, t - 2)[:, 0]
     a, b = ft[2] * ig.deriv_central(phi, t, h), ig.deriv_central(ft, 2, h) * phi[t]
     q2 = np.max(np.abs(pot_r), initial=0.0) + alpha**2
     # at a true state this is the truncation error of the two sweeps
@@ -630,7 +625,7 @@ def _matched_state(
     return np.concatenate([phi[:t] * (ft[2] / phi[t]), ft[2:]])
 
 
-def _condition(potential: Potential, l_out: int, l: int, sign: float, grid: Grid):
+def _condition(mesh: _Mesh, l_out: int, l: int, sign: float):
     """The real bound-state condition kappa -> sign F_l(i kappa), read
     off the outward solution at l_out (_jost): F_l in 3D, row (l, +1);
     f(i kappa, 0) = F_0 (0, +1) and f'(i kappa, 0) = -F_0 (-1, -1) on
@@ -638,12 +633,12 @@ def _condition(potential: Potential, l_out: int, l: int, sign: float, grid: Grid
 
     def condition(kappa):
         k = 1j * np.atleast_1d(np.asarray(kappa, dtype=float))
-        return sign * _jost(potential, l_out, l, k, grid).real
+        return sign * _jost(mesh, l_out, l, k).real
 
     return condition
 
 
-def _counted_condition(potential: Potential, l_out: int, l: int, sign: float, grid: Grid):
+def _counted_condition(mesh: _Mesh, l_out: int, l: int, sign: float):
     """kappa -> (sign F_l(i kappa), the number of bound states with
     alpha > kappa), both from the one sweep of the outward solution at
     l_out that _condition makes, for a batch of kappa > 0.
@@ -663,8 +658,8 @@ def _counted_condition(potential: Potential, l_out: int, l: int, sign: float, gr
 
     def counted(kappa):
         k = 1j * np.atleast_1d(np.asarray(kappa, dtype=float))
-        phi = _sweep_regular(potential, l_out, k, grid, _window_top(potential, grid))
-        f = _jost_from_regular(potential, l, k, grid, phi).real
+        phi = _sweep_regular(mesh, l_out, k, mesh.window + 2)
+        f = _jost_from_regular(mesh, l, k, phi).real
         s = np.signbit(phi[0 if l_out < 0 else 1 :])
         nodes = np.count_nonzero(s[1:] != s[:-1], axis=0)
         return sign * f, nodes + (np.signbit(f) != s[-1])
@@ -740,14 +735,15 @@ def physical_wave(
     The regular solution it is built from is marched to the top of the
     Jost window; beyond it the wave is the exact free solution with
     phase shift delta, evaluated in closed form."""
-    if grid is None:
-        grid = make_grid(potential)
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if np.any(k <= 0):
         raise SpecError("physical_wave is defined for real k > 0")
-    v = solve_regular(potential, l, k, grid).values
-    fvals = _jost_from_regular(potential, l, k, grid, v)
+    if l < 0:
+        raise SpecError("l must be a non-negative integer")
+    mesh = _mesh(potential, grid)
+    v = _sweep_regular(mesh, l, k)
+    fvals = _jost_from_regular(mesh, l, k, v)
     # in place: the real sweep's array becomes the wave
     v *= (k**l)[None, :]
     v /= np.abs(fvals)[None, :]
-    return PhysicalWave(grid, l, k, v, fvals, -np.angle(fvals))
+    return PhysicalWave(mesh.grid, l, k, v, fvals, -np.angle(fvals))

@@ -28,8 +28,8 @@ import numpy as np
 from . import _integrate as ig
 from ._riccati import free_decay, free_decay_d
 from .errors import NoBoundStateError, NumericalError
-from .potentials import Grid, Potential, make_grid
-from .radial import _counted_condition, _matched_state
+from .potentials import Grid, Potential
+from .radial import _counted_condition, _matched_state, _mesh, _Mesh
 
 #: relative bracket width at which root refinement stops. The bound-state
 #: conditions are rounding noise within about 1e-11 of a root (the line
@@ -149,7 +149,7 @@ def _ab_factor(f_new, f_old):
     return np.where(m > 0, m, 0.5)
 
 
-def _scan_roots(potential: Potential, l_out: int, l: int, sign: float, grid: Grid) -> list[float]:
+def _scan_roots(mesh: _Mesh, l_out: int, l: int, sign: float) -> list[float]:
     """Zeros of the bound-state condition sign F_l(i kappa) of the channel
     (l_out, sign) of radial._condition on (0, sqrt(-min U)], deepest
     first, bracketed by the Sturm count of radial._counted_condition.
@@ -172,11 +172,11 @@ def _scan_roots(potential: Potential, l_out: int, l: int, sign: float, grid: Gri
     The search is refused (NumericalError) unless the count at
     sqrt(-min U) is 0 and the distinct roots number the count at lo.
     """
-    umin = float(np.min(potential(grid.r())))
+    umin = float(np.min(mesh.u))
     if umin >= 0.0:
         return []
     amax = math.sqrt(-umin)
-    counted = _counted_condition(potential, l_out, l, sign, grid)
+    counted = _counted_condition(mesh, l_out, l, sign)
 
     def sweep(kappa):
         parts = [counted(kappa[i : i + ig._WIDE]) for i in range(0, kappa.size, ig._WIDE)]
@@ -225,10 +225,8 @@ def find_bound_states(
     grid: Grid | None = None,
 ) -> list[BoundState]:
     """All bound states for the given l, deepest (largest alpha) first."""
-    if grid is None:
-        grid = make_grid(potential)
-    roots = _scan_roots(potential, l, l, 1.0, grid)
-    return [build_bound_state(potential, l, a, grid) for a in roots]
+    mesh = _mesh(potential, grid)
+    return [_bound_state(mesh, l, a) for a in _scan_roots(mesh, l, l, 1.0)]
 
 
 def ground_state(
@@ -242,15 +240,13 @@ def ground_state(
     return states[0]
 
 
-def _normalised(
-    potential: Potential, l_out: int, l: int, alpha: float, grid: Grid
-) -> tuple[np.ndarray, float]:
+def _normalised(mesh: _Mesh, l_out: int, l: int, alpha: float) -> tuple[np.ndarray, float]:
     """The matched bound state at k = i alpha with unit tail coefficient
     (radial._matched_state, outward solution at l_out) and the integral
     of its square over r > 0: Simpson on the grid plus the exact decay
     tail beyond r_max."""
-    u = _matched_state(potential, l_out, l, alpha, grid)
-    return u, float(ig.simpson(u**2, grid.h)) + decay_tail_integral(l, alpha, grid.r_max)
+    u, h = _matched_state(mesh, l_out, l, alpha), mesh.grid.h
+    return u, float(ig.simpson(u**2, h)) + decay_tail_integral(l, alpha, mesh.grid.r_max)
 
 
 def build_bound_state(
@@ -262,9 +258,13 @@ def build_bound_state(
     accuracy: the outward and inward solutions are matched at the outer
     turning point, and a Wronskian mismatch there refuses anything else.
     """
-    u, total = _normalised(potential, l, l, alpha, grid)
+    return _bound_state(_mesh(potential, grid), l, alpha)
+
+
+def _bound_state(mesh: _Mesh, l: int, alpha: float) -> BoundState:
+    u, total = _normalised(mesh, l, l, alpha)
     norm = 1.0 / math.sqrt(total)
-    return BoundState(grid=grid, l=l, alpha=alpha, u=norm * u, asymptotic_norm=norm)
+    return BoundState(grid=mesh.grid, l=l, alpha=alpha, u=norm * u, asymptotic_norm=norm)
 
 
 def asymptotic_coefficient(state: BoundState) -> float:

@@ -17,7 +17,7 @@ from polewave.analytic import SquareWellOracle
 from polewave.cli import _OPTIONS, main
 from polewave.errors import ConditioningWarning
 from polewave.potentials import PotentialSpec, make_grid, make_potential
-from polewave.radial import _cutoff_node
+from polewave.radial import _mesh
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +79,7 @@ def test_phases_sweeps_to_the_jost_window(specs, capsys, numerov_steps):
     assert main(["phases", "--potential", specs["square"], "--ksteps", "5", "--rmax", "12"]) == 0
     capsys.readouterr()
     pot = make_potential(PotentialSpec("square", 4.0, 1.0))
-    assert sum(numerov_steps) <= 5 * (_cutoff_node(pot, make_grid(pot, r_max=12.0)) + 8)
+    assert sum(numerov_steps) <= 5 * (_mesh(pot, make_grid(pot, r_max=12.0)).cutoff + 8)
 
 
 def test_bound_reports_the_state(specs, capsys):

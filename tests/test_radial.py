@@ -1,5 +1,7 @@
 """Solver checks against free motion and the closed-form square well."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,24 @@ from hypothesis import strategies as st
 
 from polewave._riccati import hhat_plus, hhat_plus_d, jhat, jhat_d
 from polewave.analytic import SquareWellOracle
-from polewave.errors import NumericalError, SpecError, StepSizeError
-from polewave.potentials import Free, Grid, Potential, PotentialSpec, make_grid, make_potential
+from polewave.errors import GridError, NumericalError, SpecError, StepSizeError
+from polewave.onedim import Potential1D, solve_parity
+from polewave.potentials import (
+    Free,
+    Grid,
+    Piece,
+    Potential,
+    PotentialSpec,
+    Tabulated,
+    make_grid,
+    make_potential,
+)
 from polewave.radial import (
+    _counted_condition,
+    _matched_state,
+    _mesh,
     _sweep_jost,
     _sweep_regular,
-    _window_top,
     jost_function,
     jost_on_imaginary_axis,
     phase_shift,
@@ -22,6 +36,7 @@ from polewave.radial import (
     solve_regular,
     wronskian,
 )
+from polewave.spectrum import find_bound_states
 
 KS = np.linspace(0.1, 3.0, 30)
 
@@ -95,21 +110,102 @@ def test_step_size_guard():
         jost_function(pot, 0, np.array([1.0]), grid)
 
 
-def test_step_check_evaluates_only_the_swept_nodes(sq41, monkeypatch):
-    """A Jost-window sweep of sq41 marches nodes 0..260 of 6400, and the
-    step check evaluates U on those nodes only."""
+@pytest.mark.parametrize("well", ["sq41", "deep30", "gauss41", "exp905", "table", "free"])
+def test_mesh_is_the_potential_on_the_nodes(well, request):
+    """U on every node is the right-continuous U of the potential, and
+    the domains tile the grid, each the values of its own piece on its
+    nodes, interface nodes included."""
+    if well == "table":
+        r = np.linspace(0.0, 2.0, 41)
+        pot = Tabulated(r, -3.0 * np.exp(-r))
+        assert pot.breakpoints == (2.0,)
+        grid = make_grid(pot, h=1 / 256)
+    elif well == "free":
+        pot = Free()
+        grid = make_grid(pot, h=1 / 128, r_max=12.0)
+    else:
+        pot, grid = request.getfixturevalue(well)
+    mesh = _mesh(pot, grid)
+    assert np.array_equal(mesh.u, pot(grid.r()))
+    starts, ends = [d[0] for d in mesh.domains], [d[1] for d in mesh.domains]
+    assert starts == [0] + ends[:-1] and ends[-1] == grid.n
+    for i0, i1, u in mesh.domains:
+        (piece,) = [p for p in pot.pieces() if p.lo <= i0 * grid.h and i1 * grid.h <= p.hi]
+        assert np.array_equal(u, piece.fn(np.arange(i0, i1 + 1) * grid.h))
+
+
+@pytest.fixture
+def u_points(monkeypatch):
+    """Points at which U is evaluated: by Potential.__call__ under
+    "call", and by the fn of the i-th piece of any potential under i."""
+    points = Counter()
+
+    def counted(key, fn):
+        def evaluate(*args):
+            points[key] += np.size(args[-1])
+            return fn(*args)
+
+        return evaluate
+
+    def spied(original):
+        def pieces(self):
+            return [Piece(p.lo, p.hi, counted(i, p.fn)) for i, p in enumerate(original(self))]
+
+        return pieces
+
+    monkeypatch.setattr(Potential, "__call__", counted("call", Potential.__call__))
+    for cls in Potential.__subclasses__():
+        monkeypatch.setattr(cls, "pieces", spied(cls.pieces))
+    return points
+
+
+@pytest.mark.parametrize("well", ["sq41", "gauss41"])
+def test_sweeps_on_a_mesh_evaluate_no_potential(well, request, u_points):
+    """Once the mesh is built, the sweeps and reads on it take U from it:
+    neither Potential.__call__ nor a piece is evaluated again. The build
+    evaluates every node once and each interface node from both sides."""
+    pot, grid = request.getfixturevalue(well)
+    alpha = find_bound_states(pot, 0, grid)[0].alpha
+    u_points.clear()
+    mesh = _mesh(pot, grid)
+    assert sum(u_points.values()) == grid.n + len(mesh.domains)
+    u_points.clear()
+    k = np.array([0.3, 1.5j])
+    _sweep_regular(mesh, 0, k)
+    _sweep_regular(mesh, 1, k, mesh.window + 2)
+    _sweep_jost(mesh, 0, k, 0)
+    _matched_state(mesh, 0, 0, alpha)
+    _counted_condition(mesh, 0, 0, 1.0)(np.array([0.5, 1.0]))
+    assert not u_points
+
+
+def test_search_evaluates_each_piece_once(sq41, u_points):
+    """One mesh serves the bound-state search and every state it builds."""
     pot, grid = sq41
-    points = []
-    original = Potential.__call__
+    assert find_bound_states(pot, 0, grid)
+    assert dict(u_points) == {0: grid.index_of(1.0) + 1, 1: grid.n - grid.index_of(1.0) + 1}
 
-    def counted(self, r):
-        points.append(np.size(r))
-        return original(self, r)
 
-    monkeypatch.setattr(Potential, "__call__", counted)
-    jost_function(pot, 0, np.array([0.5, 1.5j]), grid)
-    assert (_window_top(pot, grid), grid.n) == (260, 6400)
-    assert sum(points) == 261
+def test_argument_refusals_come_first(sq41):
+    """The refusals of a public function's own arguments come before
+    anything its grid could refuse, and r_c is resolved only for F: a
+    grid that ends inside the well takes the regular solution, and its
+    Jost function is refused by the grid."""
+    pot = sq41[0]
+    off_node = Grid(h=0.3, n=40)
+    k = np.array([0.5])
+    with pytest.raises(SpecError, match="non-negative"):
+        physical_wave(pot, -1, k, off_node)
+    with pytest.raises(SpecError, match="real k > 0"):
+        physical_wave(pot, 0, -k, off_node)
+    with pytest.raises(SpecError, match="real k > 0"):
+        solve_parity(Potential1D(pot), "even", -k, off_node)
+    with pytest.raises(SpecError, match="parity must be one of"):
+        solve_parity(Potential1D(pot), "up", k, off_node)
+    short = Grid(h=sq41[1].h, n=200)
+    assert np.all(np.isfinite(solve_regular(pot, 0, k, short).values))
+    with pytest.raises(GridError, match="not a node"):
+        jost_function(pot, 0, k, short)
 
 
 AXES = {
@@ -127,10 +223,11 @@ def test_sweeps_run_in_float_where_k2_is_real(axis, sq41):
     float64 on the imaginary axis only, where ft is real."""
     pot, grid = sq41
     k, dtype = AXES[axis]
-    assert _sweep_regular(pot, 0, k, grid).dtype == dtype
-    assert _sweep_regular(pot, 1, k, grid, 300).dtype == dtype
+    mesh = _mesh(pot, grid)
+    assert _sweep_regular(mesh, 0, k).dtype == dtype
+    assert _sweep_regular(mesh, 1, k, 300).dtype == dtype
     jost = float if axis == "imaginary" else complex
-    assert _sweep_jost(pot, 0, k, grid, 0).dtype == jost
+    assert _sweep_jost(mesh, 0, k, 0).dtype == jost
     assert solve_jost_reduced(pot, 1, k, grid).values.dtype == jost
 
 
@@ -268,11 +365,12 @@ def test_whole_sweep_is_the_window_sweep_up_to_its_top(well, axis, request):
     window sweep's bit for bit, at every l and on the line (l = -1)."""
     pot, grid = request.getfixturevalue(well)
     k = AXES[axis][0]
-    top = _window_top(pot, grid)
+    mesh = _mesh(pot, grid)
+    top = mesh.window + 2
     for l in (-1, 0, 1, 2, 3):
-        whole = _sweep_regular(pot, l, k, grid)
+        whole = _sweep_regular(mesh, l, k)
         assert whole.shape == (grid.n + 1, k.size)
-        assert np.array_equal(whole[: top + 1], _sweep_regular(pot, l, k, grid, top))
+        assert np.array_equal(whole[: top + 1], _sweep_regular(mesh, l, k, top))
 
 
 @pytest.mark.parametrize("l", [0, 1])
@@ -301,7 +399,7 @@ def test_wronskian_is_node_independent_across_the_window_top(k, l, sq41, gauss41
     the fill, the five-point derivative error of the window (4e-10 of
     phi at k = 2.7 on sq41), magnified by 1/h."""
     for pot, grid in (sq41, gauss41):
-        top = _window_top(pot, grid)
+        top = _mesh(pot, grid).window + 2
         ft = solve_jost_reduced(pot, l, k, grid).values
         phi = solve_regular(pot, l, k, grid).values
         nodes = [top - 4, top - 2, top + 3, top + 5, top + 70, grid.n - 2]
@@ -337,6 +435,7 @@ def test_small_momentum_fill_keeps_the_march_accuracy(l, sq41, sq41_oracle):
     starts where that stays within the march's rounding, so the wave is
     as close to the closed form as a march over the whole grid."""
     pot, grid = sq41
+    mesh = _mesh(pot, grid)
     r = grid.r()[1:]
     for kk in (0.3, 0.05, 0.01):
         k = np.array([kk])
@@ -344,7 +443,7 @@ def test_small_momentum_fill_keeps_the_march_accuracy(l, sq41, sq41_oracle):
         exact = sq41_oracle.physical_wave(l, kk, r)
         err = [
             np.max(np.abs(phi[1:, 0] * scale - exact))
-            for phi in (_sweep_regular(pot, l, k, grid), _sweep_regular(pot, l, k, grid, grid.n))
+            for phi in (_sweep_regular(mesh, l, k), _sweep_regular(mesh, l, k, grid.n))
         ]
         assert err[0] <= 2.0 * err[1] + 1e-12, (kk, err)
 
@@ -354,18 +453,19 @@ def test_nothing_to_fill_past_the_grid(sq41):
     the well, leave nothing to fill: the sweep is the march to r_max."""
     gauss = make_potential(PotentialSpec("gaussian", 4.0, 1.0))
     short = make_grid(gauss, h=1 / 256, r_max=5.0)
-    assert _window_top(gauss, short) >= short.n
+    assert _mesh(gauss, short).window + 2 >= short.n
     k = np.array([0.3, 1.1])
     for pot, grid in ((gauss, short), (sq41[0], Grid(h=sq41[1].h, n=200))):
         phi = solve_regular(pot, 0, k, grid).values
-        assert np.array_equal(phi, _sweep_regular(pot, 0, k, grid, grid.n))
+        assert np.array_equal(phi, _sweep_regular(_mesh(pot, grid), 0, k, grid.n))
 
 
 def test_fill_overflow_raises(sq41):
     """The free region grows like e^{kappa r}; past the float range the
     sweep refuses, as the march did, though the window itself is fine."""
     pot, grid = sq41
-    assert np.all(np.isfinite(_sweep_regular(pot, 0, np.array([40j]), grid, _window_top(pot, grid))))
+    mesh = _mesh(pot, grid)
+    assert np.all(np.isfinite(_sweep_regular(mesh, 0, np.array([40j]), mesh.window + 2)))
     with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
         solve_regular(pot, 0, np.array([40j]), grid)
 

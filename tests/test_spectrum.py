@@ -16,7 +16,7 @@ from polewave.analytic import (
 )
 from polewave.errors import NoBoundStateError, NumericalError, SpecError
 from polewave.potentials import Free, PotentialSpec, make_grid, make_potential
-from polewave.radial import phase_shift_curve
+from polewave.radial import _mesh, phase_shift_curve
 from polewave.spectrum import (
     _MAX_STEPS,
     _ROOT_RTOL,
@@ -299,7 +299,7 @@ def test_search_keeps_a_root_at_a_cell_end(sq41, monkeypatch):
         return counted
 
     monkeypatch.setattr(spectrum, "_counted_condition", disagreeing)
-    assert spectrum._scan_roots(pot, 0, 0, 1.0, grid) == [first[0]]
+    assert spectrum._scan_roots(_mesh(pot, grid), 0, 0, 1.0) == [first[0]]
 
 
 def test_step_halving_converges_at_fourth_order(sq41, sq41_oracle):

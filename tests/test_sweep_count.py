@@ -35,10 +35,10 @@ def sweeps(monkeypatch):
     counts = Counter()
     original = radial._sweep_regular
 
-    def counted(potential, l, k, grid, *args, **kwargs):
+    def counted(mesh, l, k, *args, **kwargs):
         k = np.atleast_1d(np.asarray(k, dtype=complex))
         counts[tuple((k * k).tolist())] += 1
-        return original(potential, l, k, grid, *args, **kwargs)
+        return original(mesh, l, k, *args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("polewave") and getattr(mod, "_sweep_regular", None) is original:

@@ -28,11 +28,9 @@ from polewave.poletheorem import _LADDER_POINTS, smatrix_residue
 from polewave.potentials import PotentialSpec, make_grid, make_potential
 from polewave.radial import (
     _condition,
-    _cutoff_node,
     _jost,
+    _mesh,
     _sweep_regular,
-    _window_top,
-    _wronskian_node,
     jost_function,
     jost_on_imaginary_axis,
     physical_wave,
@@ -53,8 +51,9 @@ def _full_grid_jost(pot, l, k, grid, l_out=None):
     """F_l(k) from the full-grid Jost solution and the full-grid outward
     solution at l_out (default l; -1 is the even solution on the line)."""
     ft = solve_jost_reduced(pot, l, k, grid).values
-    phi = _sweep_regular(pot, l if l_out is None else l_out, k, grid)
-    return (-1j * k) ** l * wronskian(ft, phi, _wronskian_node(pot, grid), grid.h)
+    mesh = _mesh(pot, grid)
+    phi = _sweep_regular(mesh, l if l_out is None else l_out, k)
+    return (-1j * k) ** l * wronskian(ft, phi, mesh.window, grid.h)
 
 
 @pytest.mark.parametrize("well, l", WELLS)
@@ -69,7 +68,7 @@ def test_jost_function_is_bit_identical_to_the_full_sweeps(well, l, request):
         if well == "exp905" and k is K_UP:
             continue
         with pytest.warns(ConditioningWarning) if well == "gauss41" and k is K_UP else nullcontext():
-            f_dn = _jost(pot, l, l, k, grid, minus=True)[1]
+            f_dn = _jost(_mesh(pot, grid), l, l, k, minus=True)[1]
             assert np.array_equal(f_dn, _full_grid_jost(pot, l, -k, grid))
 
 
@@ -85,7 +84,7 @@ def test_line_channels_read_the_jost_window(well, request):
 
     def condition(parity):
         l_out, sign = _CHANNEL[parity]
-        return _condition(p.half, l_out, 0, sign, grid)(kappa)
+        return _condition(_mesh(p.half, grid), l_out, 0, sign)(kappa)
 
     odd = condition("odd")
     assert np.array_equal(odd, jost_on_imaginary_axis(pot, 0, kappa, grid))
@@ -101,7 +100,7 @@ def test_line_channels_read_the_jost_window(well, request):
         with pytest.warns(ConditioningWarning) if deep else nullcontext():
             _, f_up, f_dn = regular_and_jost(pot, 0, k, grid)
             s_even, s_odd = smatrix_1d(p, "even", k, grid), smatrix_1d(p, "odd", k, grid)
-            even_up, even_dn = _jost(pot, -1, 0, k, grid, minus=True)
+            even_up, even_dn = _jost(_mesh(pot, grid), -1, 0, k, minus=True)
             assert np.array_equal(even_up, _full_grid_jost(pot, 0, k, grid, l_out=-1))
             assert np.array_equal(even_dn, _full_grid_jost(pot, 0, -k, grid, l_out=-1))
         assert np.array_equal(s_odd, f_dn / f_up)
@@ -116,7 +115,7 @@ def test_jost_sweeps_to_the_wronskian_window(well, request, numerov_steps):
     cutoff and a decaying tail alike."""
     pot, grid = request.getfixturevalue(well)
     jost_on_imaginary_axis(pot, 0, 1.0, grid)
-    assert sum(numerov_steps) <= _cutoff_node(pot, grid) + 8
+    assert sum(numerov_steps) <= _mesh(pot, grid).cutoff + 8
 
 
 WHOLE_GRID = {
@@ -138,7 +137,7 @@ def test_whole_grid_values_march_only_to_the_window(well, name, request, numerov
     pot, grid = request.getfixturevalue(well)
     k = np.array([0.4, 0.9, 1.7])
     WHOLE_GRID[name](pot, grid, k)
-    assert sum(numerov_steps) <= k.size * (_window_top(pot, grid) + 2)
+    assert sum(numerov_steps) <= k.size * ((_mesh(pot, grid).window + 2) + 2)
 
 
 @pytest.mark.parametrize("well", ["sq41", "deep30", "gauss41"])
@@ -149,7 +148,7 @@ def test_imaginary_axis_residue_sweeps_to_the_window(well, request, numerov_step
     alpha = find_bound_states(pot, 0, grid)[0].alpha
     numerov_steps.clear()
     smatrix_residue(pot, 0, alpha, grid, "imaginary_axis")
-    assert sum(numerov_steps) <= _LADDER_POINTS * (_cutoff_node(pot, grid) + 8)
+    assert sum(numerov_steps) <= _LADDER_POINTS * (_mesh(pot, grid).cutoff + 8)
 
 
 @pytest.mark.parametrize("well, l", [("sq41", 0), ("gauss41", 0), ("exp905", 0), ("sq60", 3)])
@@ -160,7 +159,7 @@ def test_bound_state_build_sweeps_to_the_match_node(well, l, request, numerov_st
     for state in find_bound_states(pot, l, grid):
         numerov_steps.clear()
         build_bound_state(pot, l, state.alpha, grid)
-        assert sum(numerov_steps) <= _cutoff_node(pot, grid) + 8
+        assert sum(numerov_steps) <= _mesh(pot, grid).cutoff + 8
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
@@ -171,7 +170,7 @@ def test_line_build_sweeps_to_the_match_node(well, parity, request, numerov_step
     for state in find_bound_1d(p, parity, grid):
         numerov_steps.clear()
         build_bound_1d(p, parity, state.alpha, grid)
-        assert sum(numerov_steps) <= _cutoff_node(pot, grid) + 8
+        assert sum(numerov_steps) <= _mesh(pot, grid).cutoff + 8
 
 
 @pytest.fixture
