@@ -9,26 +9,10 @@ functions, locates bound states as zeros of F_l(i*alpha), and verifies
 numerically that the scattering wave function, extrapolated to the
 bound-state pole of the S matrix, reproduces the normalized bound-state
 wave function with a universal prefactor.
+
+Import from the modules themselves (polewave.potentials, .radial,
+.spectrum, .poletheorem, .onedim, .separable, .analytic); importing the
+package alone loads none of them.
 """
 
 __version__ = "0.1.0"
-
-from . import analytic, onedim, poletheorem, potentials, radial, separable, spectrum
-from .analytic import SquareWellOracle
-from .potentials import Grid, PotentialSpec, make_grid, make_potential
-
-__all__ = [
-    "Grid",
-    "PotentialSpec",
-    "make_potential",
-    "make_grid",
-    "SquareWellOracle",
-    "analytic",
-    "potentials",
-    "radial",
-    "spectrum",
-    "poletheorem",
-    "separable",
-    "onedim",
-    "__version__",
-]

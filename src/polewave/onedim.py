@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoBoundStateError, SpecError
+from .errors import SpecError
 from .potentials import Grid, Potential
 from .poletheorem import (
     ExtrapolantSamples,
@@ -199,13 +199,6 @@ def build_bound_1d(p: Potential1D, parity: str, alpha: float, grid: Grid) -> Bou
 def _bound_1d(mesh: _Mesh, l_out: int, parity: str, alpha: float) -> BoundState1D:
     u, half_norm = _normalised(mesh, l_out, 0, alpha)
     return BoundState1D(mesh.grid, parity, alpha, u, 1.0 / math.sqrt(2.0 * half_norm))
-
-
-def ground_state_1d(p: Potential1D, parity: str, grid: Grid | None = None) -> BoundState1D:
-    states = find_bound_1d(p, parity, grid)
-    if not states:
-        raise NoBoundStateError(f"no {parity} bound state for this potential")
-    return states[0]
 
 
 def extrapolant_samples_1d(

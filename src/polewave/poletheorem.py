@@ -52,11 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _integrate as ig
 from .errors import ExtrapolationWarning, NumericalError, SpecError
 from .potentials import Grid, Potential
 from .radial import (
-    PhysicalWave,
     _condition,
     _jost,
     _jost_derivative,
@@ -277,10 +275,6 @@ class PoleExtrapolation:
     order: int
     g_star: np.ndarray
     condition: float
-
-    @property
-    def t_target(self) -> float:
-        return -self.samples.alpha ** 2
 
 
 def extrapolate_to_pole(samples: ExtrapolantSamples, order: int = 2) -> PoleExtrapolation:
@@ -533,39 +527,9 @@ def gw_extrapolant(
     # sqrt(F(k) F(-k)), which vanishes with F at the pole and keeps the
     # product finite; np.abs would not
     d = f * f_dn
-    s = pole_branch_sign(potential, 0, alpha, grid)
+    s = _branch_sign(_condition(mesh, 0, 0, 1.0), alpha)
     v = s * phi / np.sqrt(d)[None, :]
     t = k * k
     universal = _extrapolant(grid, 0, alpha, t, phi, d, s, _pref(0, alpha)(t))
     return GwExtrapolant(grid, k, pref[None, :] * v, pref, universal)
 
-
-@dataclass
-class WronskianIdentity:
-    """Both sides of u'v - u v' = (alpha^2 + k^2) integral_0^r u v dr'."""
-
-    radius: float
-    lhs: float
-    rhs: float
-    residual: float
-
-
-def wronskian_identity(state: BoundState, wave: PhysicalWave, radius: float) -> WronskianIdentity:
-    """Check the cross-Wronskian identity between the bound state and
-    the first momentum of a physical wave at one radius (snapped to the
-    nearest grid node)."""
-    g = state.grid
-    if (g.h, g.n) != (wave.grid.h, wave.grid.n):
-        raise SpecError("bound state and wave live on different grids")
-    i = int(round(radius / g.h))
-    i = max(2, min(i, g.n - 2))
-    r = g.r()
-    u = state.u
-    v = wave.values[:, 0].real
-    k = float(wave.k[0].real)
-    du = float(ig.deriv_central(u, i, g.h))
-    dv = float(ig.deriv_central(v, i, g.h))
-    lhs = du * v[i] - u[i] * dv
-    rhs = (state.alpha**2 + k**2) * float(ig.simpson(u[: i + 1] * v[: i + 1], g.h))
-    residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
-    return WronskianIdentity(r[i], lhs, rhs, residual)

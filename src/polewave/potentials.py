@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import _integrate as ig
 from .errors import GridError, SpecError
 
 KINDS = ("free", "square", "exponential", "gaussian", "table")
@@ -292,30 +291,6 @@ def make_potential(spec: PotentialSpec) -> Potential:
         raise SpecError("radius must be finite and positive")
     cls = {"square": SquareWell, "exponential": ExponentialWell, "gaussian": GaussianWell}[kind]
     return cls(depth=spec.depth, radius=spec.radius)
-
-
-def check_integrability(potential: Potential) -> float:
-    """Verify the short-range conditions numerically.
-
-    Checks that integral of r |U| out to the suggested r_max is finite
-    and that the remaining tail is negligible against it. Returns the
-    integral.
-    """
-    r_max = potential.suggested_rmax()
-    r = np.linspace(0.0, r_max, 4001)
-    u = potential(r)
-    if not np.all(np.isfinite(u)):
-        raise SpecError("potential is not finite on (0, r_max)")
-    moment = float(ig.simpson(r * np.abs(u), r_max / 4000))
-    if not math.isfinite(moment):
-        raise SpecError("integral of r |U| diverges")
-    tail = potential.tail_integral(r_max)
-    if tail > 1e-6 * (1.0 + moment):
-        raise SpecError(
-            f"potential has not decayed by r = {r_max:g} "
-            f"(tail integral {tail:.3g}); enlarge r_max"
-        )
-    return moment
 
 
 @dataclass(frozen=True)

@@ -165,9 +165,6 @@ class RadialSolution:
     k: np.ndarray
     values: np.ndarray
 
-    def at_radius(self, radius: float) -> np.ndarray:
-        return self.values[self.grid.index_of(radius)]
-
 
 def _origin_series(potential: Potential, l: int, k2):
     """The regular solution near the origin as a function of r,
@@ -600,16 +597,6 @@ def _wave(mesh: _Mesh, l_out: int, l: int, k: np.ndarray, scale):
         return scale(jost[0])
 
     return _sweep_regular(mesh, l_out, k, norm=norm), jost[0]
-
-
-def regular_and_jost(
-    potential: Potential, l: int, k, grid: Grid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """phi_l(k, r), F_l(k) and F_l(-k), all from one regular sweep; on
-    the real axis S_l(k) = F_l(-k) / F_l(k)."""
-    if l < 0:
-        raise SpecError("l must be a non-negative integer")
-    return _regular_and_jost(_mesh(potential, grid), l, l, k)
 
 
 def _matched_state(mesh: _Mesh, l_out: int, l: int, alpha: float) -> np.ndarray:

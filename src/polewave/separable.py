@@ -38,7 +38,6 @@ __all__ = [
     "SeparableModel",
     "sep_jost",
     "sep_jost_derivative",
-    "sep_smatrix",
     "sep_ratio",
     "sep_prefactors",
     "sep_compare_forms",
@@ -123,16 +122,6 @@ def sep_jost_derivative(m: SeparableModel, k):
     _guard_poles(m, k)
     num, dnum, den, dden = _jost_pieces(m, k)
     out = (dnum * den - num * dden) / den**2
-    return out if out.ndim else complex(out)
-
-
-def sep_smatrix(m: SeparableModel, k):
-    """S(k) = F(-k) / F(k); simple pole at i alpha, zero at -i alpha."""
-    _guard_poles(m, k)
-    _guard_poles(m, -np.asarray(k, dtype=complex))
-    num_m, _, den_m, _ = _jost_pieces(m, -np.asarray(k, dtype=complex))
-    num_p, _, den_p, _ = _jost_pieces(m, k)
-    out = (num_m / den_m) * (den_p / num_p)
     return out if out.ndim else complex(out)
 
 

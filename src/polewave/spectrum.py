@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _integrate as ig
 from ._riccati import free_decay, free_decay_d
-from .errors import NoBoundStateError, NumericalError
+from .errors import NumericalError
 from .potentials import Grid, Potential
 from .radial import _counted_condition, _matched_state, _mesh, _Mesh
 
@@ -57,13 +57,6 @@ class BoundState:
     @property
     def energy(self) -> float:
         return -self.alpha**2
-
-    def tail_reference(self, r=None) -> np.ndarray:
-        """The unit-coefficient decaying free solution this state is
-        measured against at large r."""
-        if r is None:
-            r = self.grid.r()
-        return free_decay(self.l, self.alpha, r)
 
 
 def decay_tail_integral(l: int, alpha: float, radius: float) -> float:
@@ -227,17 +220,6 @@ def find_bound_states(
     """All bound states for the given l, deepest (largest alpha) first."""
     mesh = _mesh(potential, grid)
     return [_bound_state(mesh, l, a) for a in _scan_roots(mesh, l, l, 1.0)]
-
-
-def ground_state(
-    potential: Potential,
-    l: int,
-    grid: Grid | None = None,
-) -> BoundState:
-    states = find_bound_states(potential, l, grid)
-    if not states:
-        raise NoBoundStateError(f"no bound state with l = {l} for this potential")
-    return states[0]
 
 
 def _normalised(mesh: _Mesh, l_out: int, l: int, alpha: float) -> tuple[np.ndarray, float]:

@@ -122,3 +122,28 @@ def numerov_steps(monkeypatch):
 
     monkeypatch.setattr(ig, "numerov", counted)
     return steps
+
+
+@pytest.fixture(scope="session")
+def cross_wronskian():
+    """The paper's cross-Wronskian identity between a bound state u and
+    the first momentum k of a physical wave v,
+
+        u'v - u v' = (alpha^2 + k^2) integral_0^r u v dr',
+
+    as a function of (state, wave, radius) returning the relative
+    residual of its two sides at the grid node nearest radius."""
+
+    def residual(state, wave, radius):
+        h = state.grid.h
+        i = int(round(radius / h))
+        u = state.u
+        v = wave.values[:, 0].real
+        k = float(wave.k[0].real)
+        du = float(ig.deriv_central(u, i, h))
+        dv = float(ig.deriv_central(v, i, h))
+        lhs = du * v[i] - u[i] * dv
+        rhs = (state.alpha**2 + k**2) * float(ig.simpson(u[: i + 1] * v[: i + 1], h))
+        return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+
+    return residual

@@ -22,7 +22,6 @@ from polewave.poletheorem import (
     extrapolate_to_pole,
     residue_prediction,
     smatrix_residue,
-    wronskian_identity,
 )
 from polewave.potentials import PotentialSpec, make_grid, make_potential
 from polewave.radial import (
@@ -150,7 +149,9 @@ def test_criterion_7_one_dimension(oned41, oned41_even, oned41_odd):
     _passed(7, f"even res {res['even']:.2e}, odd res {res['odd']:.2e}")
 
 
-def test_criterion_8_structural_invariants(sq41, sq41_states, sq41_oracle, gauss41):
+def test_criterion_8_structural_invariants(
+    sq41, sq41_states, sq41_oracle, gauss41, cross_wronskian
+):
     pot, grid = sq41
     f_plus = jost_function(pot, 0, K30, grid)
     f_minus = jost_function(pot, 0, -K30, grid)
@@ -173,8 +174,8 @@ def test_criterion_8_structural_invariants(sq41, sq41_states, sq41_oracle, gauss
     assert w_spread < 1e-8
 
     wave = physical_wave(pot, 0, np.array([0.9]), grid)
-    ident = wronskian_identity(sq41_states[0], wave, 3.0)
-    assert ident.residual < 1e-6
+    identity = cross_wronskian(sq41_states[0], wave, 3.0)
+    assert identity < 1e-6
 
     # fourth-order sweep: halving the step must cut the oracle error by
     # far more than 8 while truncation still dominates rounding
@@ -188,7 +189,7 @@ def test_criterion_8_structural_invariants(sq41, sq41_states, sq41_oracle, gauss
     _passed(
         8,
         f"symmetry {sym:.1e}, unitarity {uni:.1e}, wronskian {w_spread:.1e}, "
-        f"identity {ident.residual:.1e}, halving factor {np.min(factors):.1f}",
+        f"identity {identity:.1e}, halving factor {np.min(factors):.1f}",
     )
 
 

@@ -345,7 +345,7 @@ def test_console_entry_point(specs, tmp_path):
 
 def test_settable_values_are_counted_once():
     """The settable values are every defaulted parameter of a public
-    function of a public module, plus every CLI option: 49 when this
+    function of a public module, plus every CLI option: 47 when this
     count was set down. A new knob has to replace an old one."""
     count = len(_OPTIONS)
     for info in pkgutil.iter_modules(polewave.__path__):
@@ -356,4 +356,4 @@ def test_settable_values_are_counted_once():
             if not name.startswith("_") and fn.__module__ == module.__name__:
                 params = inspect.signature(fn).parameters.values()
                 count += sum(p.default is not p.empty for p in params)
-    assert count <= 49
+    assert count <= 47

@@ -2,7 +2,9 @@
 must not load on importing polewave nor on running a subcommand on a
 built-in potential, at l = 0 or at l = 2. Nor must numpy.ma, which
 costs about 23 ms of CPU per process and which np.median, among
-others, imports on first use."""
+others, imports on first use. A bare `import polewave` loads none of
+its modules, and `import polewave.cli` loads no numpy: each subcommand
+imports what it runs."""
 
 import json
 import subprocess
@@ -16,8 +18,11 @@ seen = {}
 loaded = lambda: ["scipy" in sys.modules, "numpy.ma" in sys.modules]
 import polewave
 seen["import polewave"] = loaded() + [0]
+submodules = sorted(m for m in sys.modules if m.startswith("polewave."))
+seen["submodules after import polewave"] = submodules
 import polewave.cli
 seen["import polewave.cli"] = loaded() + [0]
+seen["numpy after import polewave.cli"] = "numpy" in sys.modules
 spec = ["--potential", sys.argv[1], "--rmax", "12"]
 deep = ["--potential", sys.argv[2], "--rmax", "12", "--ell", "2"]
 for argv in (
@@ -60,3 +65,11 @@ def test_scipy_stays_unloaded(seen, step):
 def test_numpy_ma_stays_unloaded(seen, step):
     _, loaded, _ = seen[step]
     assert not loaded, f"numpy.ma was loaded by the time {step} finished"
+
+
+def test_bare_import_loads_no_submodule(seen):
+    assert seen["submodules after import polewave"] == []
+
+
+def test_cli_import_loads_no_numpy(seen):
+    assert not seen["numpy after import polewave.cli"]

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from polewave.errors import NoBoundStateError, NumericalError, SpecError
+from polewave.errors import NumericalError, SpecError
 from polewave.onedim import (
     Potential1D,
     build_bound_1d,
     extrapolant_samples_1d,
     find_bound_1d,
-    ground_state_1d,
     pole_extrapolate_1d,
     pole_residue_1d,
     residue_prediction_1d,
@@ -205,8 +204,7 @@ def test_free_line_is_marginal():
     assert np.max(np.abs(odd.values[:, 0] + np.sin(0.9 * x))) < 1e-8
     assert abs(even.delta[0]) < 1e-8 and abs(odd.delta[0]) < 1e-8
     assert find_bound_1d(p, "even", grid) == []
-    with pytest.raises(NoBoundStateError):
-        ground_state_1d(p, "odd", grid)
+    assert find_bound_1d(p, "odd", grid) == []
 
 
 def test_deep_well_parities_interlace():

@@ -17,7 +17,6 @@ from polewave.potentials import (
     PotentialSpec,
     SquareWell,
     Tabulated,
-    check_integrability,
     make_grid,
     make_potential,
 )
@@ -141,8 +140,6 @@ def test_make_grid_rejects_tiny_extent():
         make_grid(w, h=1 / 256, r_max=1.005)
 
 
-def test_check_integrability():
-    # plain quadrature diagnostic, so the well edge costs some accuracy
-    assert check_integrability(SquareWell(4.0, 1.0)) == pytest.approx(2.0, rel=1e-2)
+def test_tabulated_refuses_non_finite_values():
     with pytest.raises(SpecError):
         Tabulated(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, np.nan, 0.0, 0.0]))

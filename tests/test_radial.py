@@ -351,12 +351,6 @@ def test_regular_solution_origin_scaling(l, k):
     assert abs(ph.values[4, 0].real / lead - 1.0) < 1e-2
 
 
-def test_at_radius_indexes_the_grid(sq41):
-    pot, grid = sq41
-    ph = solve_regular(pot, 0, np.array([1.0]), grid)
-    assert ph.at_radius(2.0) == pytest.approx(ph.values[grid.index_of(2.0), 0])
-
-
 @pytest.mark.parametrize("axis", AXES)
 @pytest.mark.parametrize("well", ["sq41", "gauss41", "exp905"])
 def test_whole_sweep_is_the_window_sweep_up_to_its_top(well, axis, request):

@@ -23,8 +23,8 @@ from polewave.poletheorem import (
     smatrix_residue,
 )
 from polewave.potentials import PotentialSpec, make_grid, make_potential
-from polewave.radial import physical_wave, regular_and_jost
-from polewave.spectrum import ground_state
+from polewave.radial import _mesh, _regular_and_jost, physical_wave
+from polewave.spectrum import find_bound_states
 
 
 @pytest.fixture
@@ -106,13 +106,13 @@ def test_gw_compare_sweeps_once(mode, tmp_path, capsys, monkeypatch, sweeps):
     k^2 = -alpha^2 alone is swept twice: the root finder returns a
     momentum it has evaluated, and the bound state is built there."""
     probes = []
-    original = poletheorem.pole_branch_sign
+    original = poletheorem._branch_sign
 
     def counted(*args):
         probes.append(args)
         return original(*args)
 
-    monkeypatch.setattr(poletheorem, "pole_branch_sign", counted)
+    monkeypatch.setattr(poletheorem, "_branch_sign", counted)
     spec = tmp_path / "square.json"
     spec.write_text(json.dumps({"kind": "square", "depth": 4.0, "radius": 1.0}))
     argv = ["gw-compare", "--potential", str(spec), "--rmax", "12", "--sample-mode", mode]
@@ -120,7 +120,7 @@ def test_gw_compare_sweeps_once(mode, tmp_path, capsys, monkeypatch, sweeps):
     capsys.readouterr()
     counts = dict(sweeps)
     pot = make_potential(PotentialSpec("square", 4.0, 1.0))
-    k = np.array([1j * ground_state(pot, 0, make_grid(pot, r_max=12.0)).alpha])
+    k = np.array([1j * find_bound_states(pot, 0, make_grid(pot, r_max=12.0))[0].alpha])
     assert counts.pop(tuple((k * k).tolist())) == 2
     assert max(counts.values()) == 1, sorted(counts.values())
     assert len(probes) == 1
@@ -137,6 +137,22 @@ def test_gw_extrapolant_sweeps_three_sets(nk, sq41, sq41_states, sweeps):
     assert sorted(len(k2) for k2 in sweeps) == sorted([nk, nk, 1])
 
 
+def test_gw_extrapolant_builds_one_mesh(sq41, sq41_states, monkeypatch):
+    """The wave, F(k), F(-k), F' and the branch probe all read the one
+    mesh gw_extrapolant builds."""
+    meshes = []
+    original = poletheorem._mesh
+
+    def counted(*args):
+        meshes.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(poletheorem, "_mesh", counted)
+    pot, grid = sq41
+    gw_extrapolant(pot, sq41_states[0].alpha, np.linspace(0.2, 2.5, 5), grid)
+    assert len(meshes) == 1
+
+
 @pytest.mark.parametrize("well", ["sq41", "gauss41"])
 @pytest.mark.parametrize("axis", ["real", "imaginary"])
 def test_gw_prefactor_is_the_per_momentum_form(well, axis, request):
@@ -144,9 +160,9 @@ def test_gw_prefactor_is_the_per_momentum_form(well, axis, request):
     prefactor sqrt(4 i alpha^2 F(k) / F'(k)) against one jost_derivative
     per k."""
     pot, grid = request.getfixturevalue(well)
-    alpha = ground_state(pot, 0, grid).alpha
+    alpha = find_bound_states(pot, 0, grid)[0].alpha
     k = np.linspace(0.2, 2.5, 5) if axis == "real" else 1j * alpha * np.linspace(0.5, 0.95, 5)
     gw = gw_extrapolant(pot, alpha, k, grid)
-    _, f, _ = regular_and_jost(pot, 0, np.asarray(k, dtype=complex), grid)
+    _, f, _ = _regular_and_jost(_mesh(pot, grid), 0, 0, np.asarray(k, dtype=complex))
     fdot = np.array([jost_derivative(pot, 0, kk, grid).value for kk in k])
     assert np.array_equal(gw.prefactor, np.sqrt(4j * alpha**2 * f / fdot))

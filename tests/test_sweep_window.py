@@ -30,11 +30,11 @@ from polewave.radial import (
     _condition,
     _jost,
     _mesh,
+    _regular_and_jost,
     _sweep_regular,
     jost_function,
     jost_on_imaginary_axis,
     physical_wave,
-    regular_and_jost,
     solve_jost_reduced,
     solve_regular,
     wronskian,
@@ -98,7 +98,7 @@ def test_line_channels_read_the_jost_window(well, request):
         # 1e14 on gauss41 (r_c = 5.38)
         deep = well == "gauss41" and k is K_UP
         with pytest.warns(ConditioningWarning) if deep else nullcontext():
-            _, f_up, f_dn = regular_and_jost(pot, 0, k, grid)
+            _, f_up, f_dn = _regular_and_jost(_mesh(pot, grid), 0, 0, k)
             s_even, s_odd = smatrix_1d(p, "even", k, grid), smatrix_1d(p, "odd", k, grid)
             even_up, even_dn = _jost(_mesh(pot, grid), -1, 0, k, minus=True)
             assert np.array_equal(even_up, _full_grid_jost(pot, 0, k, grid, l_out=-1))
@@ -123,7 +123,7 @@ WHOLE_GRID = {
     "solve_parity even": lambda pot, grid, k: solve_parity(Potential1D(pot), "even", k, grid),
     "solve_parity odd": lambda pot, grid, k: solve_parity(Potential1D(pot), "odd", k, grid),
     "solve_regular": lambda pot, grid, k: solve_regular(pot, 0, 1j * k, grid),
-    "regular_and_jost": lambda pot, grid, k: regular_and_jost(pot, 1, k, grid),
+    "regular_and_jost": lambda pot, grid, k: _regular_and_jost(_mesh(pot, grid), 1, 1, k),
 }
 
 
