@@ -280,7 +280,9 @@ class PoleExtrapolation:
 def extrapolate_to_pole(samples: ExtrapolantSamples, order: int = 2) -> PoleExtrapolation:
     """Fit g(t, r) with one shared polynomial basis and evaluate at the
     pole energy. The basis is centered and scaled, so the reported
-    condition number reflects the fit, not the units."""
+    condition number reflects the fit, not the units. The fit at the
+    pole is linear in the samples, so it is taken as one weighted sum of
+    them per node."""
     t = samples.t
     if order < 1 or order + 1 > t.size:
         raise SpecError(f"order {order} needs more than {order} samples, got {t.size}")
@@ -298,11 +300,12 @@ def extrapolate_to_pole(samples: ExtrapolantSamples, order: int = 2) -> PoleExtr
     scale = 0.5 * span if span > 0 else 1.0
     tau = (t - center) / scale
     v = np.vander(tau, order + 1, increasing=True)
-    coef, *_ = np.linalg.lstsq(v, samples.g.T, rcond=None)
     tau_star = (target - center) / scale
-    g_star = np.polynomial.polynomial.polyval(tau_star, coef)
+    # the least-squares fit evaluated at tau*, V(tau*) pinv(v) g^T, as one
+    # weight per sample: a single product over the grid's nodes
+    w = tau_star ** np.arange(order + 1) @ np.linalg.pinv(v)
     cond = float(np.linalg.cond(v))
-    return PoleExtrapolation(samples, order, np.asarray(g_star), cond)
+    return PoleExtrapolation(samples, order, samples.g @ w, cond)
 
 
 @dataclass
