@@ -248,8 +248,8 @@ def _sweep_regular(mesh: _Mesh, l: int, k, top: int | None = None, norm=None) ->
 
 #: nodes per block of the free fill (measured in _free_fill)
 _FILL_BLOCK = 64
-#: values the free fill writes per numpy call, in whole blocks (measured
-#: in _free_fill)
+#: values in a group of whole blocks that the free fill writes at
+#: once (measured in _free_fill)
 _FILL_GROUP = 16384
 #: a fill whose bound stays below this needs no scan for overflow: its
 #: values and partial sums are then at least 1e8 below the float maximum
@@ -271,36 +271,6 @@ def _fill_node(mesh: _Mesh, l: int, k: np.ndarray) -> int:
     return math.ceil(min(max(mesh.window + 3, rounding), n + 1))
 
 
-def _cis(k: np.ndarray, j0: int, dj: int, n: int, h: float):
-    """cos and sin of k h (j0 + j dj) for j < n, shape (n, nk), by angle
-    addition from two tables of about sqrt(n) rows each."""
-    m = math.isqrt(n - 1) + 1
-    hi = np.multiply.outer((j0 + m * dj * np.arange(-(-n // m))) * h, k)
-    lo = np.multiply.outer(dj * np.arange(m) * h, k)
-    ch, sh, cl, sl = np.cos(hi)[:, None], np.sin(hi)[:, None], np.cos(lo), np.sin(lo)
-    c = (ch * cl - sh * sl).reshape(-1, k.size)[:n]
-    s = (sh * cl + ch * sl).reshape(-1, k.size)[:n]
-    return c, s
-
-
-def _blocks(G: np.ndarray, C: np.ndarray, out: np.ndarray, tmp=None) -> None:
-    """Write G[b, 0] C[0, t] + G[b, 1] C[1, t] to out[b, t] on a group of
-    blocks b of the free fill, or, given tmp, add it to out. A float
-    group is one einsum (into tmp, then added); numpy's complex einsum
-    took twice the time of two multiplies at 300 momenta, so a complex
-    group multiplies and adds its two terms in turn."""
-    if out.dtype == complex:
-        if tmp is None:
-            np.multiply(C[0], G[:, None, 0], out=out)
-        else:
-            out += C[0] * G[:, None, 0]
-        out += C[1] * G[:, None, 1]
-    elif tmp is None:
-        np.einsum("bsj,stj->btj", G, C, out=out)
-    else:
-        out += np.einsum("bsj,stj->btj", G, C, out=tmp)
-
-
 def _free_fill(l: int, k: np.ndarray, grid: Grid, i: int, vals: np.ndarray, s: int, f) -> float:
     """Overwrite nodes s..n of vals with the free solution at l >= 0
     that the values on nodes i - 2..i + 2 belong to, U being zero there,
@@ -318,21 +288,24 @@ def _free_fill(l: int, k: np.ndarray, grid: Grid, i: int, vals: np.ndarray, s: i
     elsewhere, r' = r - r_i; both are real where k^2 is, so a float
     sweep stays float. With r' = R + t, R a block start and t < B h the
     offset within a block of B = _FILL_BLOCK nodes, g(R + t) is a 2x2
-    transfer of g(R), folded into per-row coefficients: C_m = (cp_m, cq_m)
-    at the offsets, G = (g_0, g_1) at the block starts. Row t of block b
-    of the power m is then G[b, 0] C_m[0, t] + G[b, 1] C_m[1, t], and one
-    product (_blocks) writes it for a group of whole blocks, about
-    _FILL_GROUP values, so a narrow batch pays one numpy call per group
-    and not per block; the powers of 1/r are summed by Horner. Evaluating
-    sin, cos or exp on every node would cost about as much as marching
-    there. At real k the cos and sin tables of the block starts and of
-    the offsets come by angle addition from two tables of about
-    sqrt(rows) rows each (_cis), in place of cos and sin on every row:
-    they differ from those in the last bits, by the rounding of k r'.
-    The imaginary columns of a float sweep, and a complex sweep, take
-    e^{+-ikr'} from the complex exp, so they round as a complex sweep
-    does (np.exp of a float differs in the last bit); a complex sweep
-    adds its products in the order of a per-block loop, bit for bit.
+    transfer of g(R), folded into per-row coefficients: cp_m and cq_m
+    at the offsets, g_0 and g_1 at the block starts. Row t of block b of
+    the power m is then cp_m[t] g_0[b] + cq_m[t] g_1[b]; for a group of
+    whole blocks, about _FILL_GROUP values, that is two broadcast
+    multiplies, one into the group and one into a preallocated buffer,
+    and an add, so a narrow batch pays a few numpy calls per group and
+    not per block. The powers of 1/r are summed by Horner, the two
+    products added in turn: each node gets the arithmetic of a per-block
+    loop, so the grouping moves no value. Evaluating sin, cos or exp on
+    every node would cost about as much as marching there. A float sweep
+    builds the tables per column, from cos and sin of k r' at real k.
+
+    An einsum over the stacked tables wrote a float group in one pass
+    and took about a fifth less CPU per 300-momentum sweep, but it adds
+    the two products before the Horner sum: at l = 3 that moved values
+    by up to 3.5e-13 of their column maximum (deep30, 5 real momenta),
+    and numpy's complex einsum rounds otherwise and took twice the time
+    of the two multiplies.
 
     The bound returned is the largest, over the columns and over o, of
     sum_{m >= o} r_s^{o-m} (max|cp_m| max|g_0| + max|cq_m| max|g_1|),
@@ -346,21 +319,23 @@ def _free_fill(l: int, k: np.ndarray, grid: Grid, i: int, vals: np.ndarray, s: i
     16384 values per call, then the group size at B = 64:
 
         l  momenta    B = 32    64   128   group 4096  16384  65536
-        0     1        0.19   0.17  0.18        0.18   0.17   0.18
-        0     5        0.33   0.31  0.31        0.33   0.31   0.30
-        0    12        0.41   0.39  0.40        0.43   0.39   0.36
-        0    30        0.63   0.65  0.72        0.80   0.65   0.60
-        0   300        4.20   3.29  3.15        3.33   3.29   4.01
-        1     1        0.23   0.21  0.21        0.22   0.21   0.21
-        1     5        0.49   0.47  0.47        0.52   0.47   0.45
-        1    12        0.64   0.64  0.67        0.78   0.64   0.62
-        1    30        1.13   1.24  1.30        1.53   1.24   1.12
-        1   300       10.1    7.44  7.96        8.46   7.44   8.74
+        0     1        0.18   0.17  0.17        0.18   0.17   0.17
+        0     5        0.41   0.38  0.38        0.43   0.38   0.37
+        0    12        0.57   0.52  0.52        0.59   0.52   0.51
+        0    30        0.92   0.84  0.85        0.95   0.84   0.83
+        0   300        6.54   5.25  5.31        5.27   5.25   5.03
+        1     1        0.21   0.21  0.21        0.22   0.21   0.21
+        1     5        0.63   0.60  0.61        0.68   0.60   0.57
+        1    12        0.91   0.88  0.90        1.05   0.88   0.87
+        1    30        1.83   1.76  1.80        2.12   1.76   1.69
+        1   300       14.0   12.6  13.1        12.8   12.6   11.4
 
-    A second run put B = 128 ahead at 300 momenta, l = 0 (4.36 against
-    4.50) and behind at l = 1 (12.3 against 11.4); complex fills ranked
-    alike. The workloads fill 300 momenta or at most 12, where B = 64
-    and 16384 are best or within 8 % of it.
+    Complex fills ranked alike up to 30 momenta; at 300, B = 64 and
+    16384 values were best or within 2 % (11.6 and 22.6 ms at l = 0 and
+    1), and 65536 values, a 1 MiB complex buffer, lost 11-18 %. The
+    300-momentum float column moved by up to 20 % between runs with no
+    steady winner: 65536 values read 4-9 % ahead in a second run and
+    17 % behind at l = 0 in a third. So B = 64 and 16384 stay.
     """
     h, B, nk = grid.h, _FILL_BLOCK, k.size
     zero = k == 0
@@ -377,51 +352,53 @@ def _free_fill(l: int, k: np.ndarray, grid: Grid, i: int, vals: np.ndarray, s: i
     cy = cy * (0.5j / k) ** m
     p, q = a * cy * f, b * cy * (-1.0) ** m * f
     tail = vals[s:]
+    # i k R' at the nr block starts, then i k t at the offsets within a block
     nb, rest = divmod(len(tail), B)
     nr = nb + (rest > 0)
-    # G: (g_0, g_1) at the nr block starts R, shape (nr, 2, nk); C:
-    # (cp_m, cq_m) at the offsets t within a block, shape (l + 1, 2, B, nk)
-    G = np.empty((nr, 2, nk), dtype=vals.dtype)
-    C = np.empty((l + 1, 2, B, nk), dtype=vals.dtype)
     at = np.concatenate([(s - i + B * np.arange(nr)) * h, np.arange(B) * h])
+    e = np.multiply.outer(at, 1j * k)
     if vals.dtype == complex:
-        e = np.multiply.outer(at, 1j * k)
-        G[:, 0], G[:, 1] = np.exp(e[:nr]), np.exp(-e[:nr])
-        C[:, 0], C[:, 1] = p[:, None] * np.exp(e[nr:]), q[:, None] * np.exp(-e[nr:])
+        g0, g1 = np.exp(e[:nr]), np.exp(-e[:nr])
+        cp, cq = p[:, None] * np.exp(e[nr:]), q[:, None] * np.exp(-e[nr:])
     else:
         # real k: p cos + q sin, p and q twice the real part and minus
         # twice the imaginary part of the e^{ikr'} coefficients; on the
-        # imaginary axis p e^{ikr'} + q e^{-ikr'}, every factor real
+        # imaginary axis p e^{ikr'} + q e^{-ikr'}, every factor real, with
+        # e^{+-ikr'} from the complex exp so it rounds as in a complex
+        # sweep (np.exp of a float differs in the last bit)
         rot = k.imag == 0
         p, q = np.where(rot, 2 * p.real, p.real), np.where(rot, -2 * p.imag, q.real)
-        (cR, sR), (c, sn) = _cis(k.real, s - i, B, nr, h), _cis(k.real, 0, 1, B, h)
-        if not rot.all():
-            e = np.multiply.outer(at, 1j * k[~rot])
-            up, dn = np.exp(e).real, np.exp(-e).real
-            cR[:, ~rot], sR[:, ~rot], c[:, ~rot], sn[:, ~rot] = up[:nr], dn[:nr], up[nr:], dn[nr:]
-        G[:, 0], G[:, 1] = cR, sR
+        c, sn = np.cos(e.imag), np.sin(e.imag)
+        c[:, ~rot], sn[:, ~rot] = np.exp(e[:, ~rot]).real, np.exp(-e[:, ~rot]).real
+        g0, g1, c, sn = c[:nr], sn[:nr], c[nr:], sn[nr:]
         st = np.where(rot, sn, 0.0)
-        C[:, 0] = p[:, None] * c + q[:, None] * st
-        C[:, 1] = q[:, None] * np.where(rot, c, sn) - p[:, None] * st
-    r = grid.r()[s:, None]
-    x = 1.0 / r
-    # whole blocks in groups of about _FILL_GROUP values, then the rest
-    per = max(1, _FILL_GROUP // (B * nk))
-    body, xb = tail[: nb * B].reshape(nb, B, nk), x[: nb * B].reshape(nb, B, 1)
-    parts = [(G[b : min(b + per, nb)], C, body[b : b + per], xb[b : b + per]) for b in range(0, nb, per)]
-    if rest:
-        parts.append((G[nb:], C[:, :, :rest], tail[nb * B :][None], x[nb * B :][None]))
-    tmp = np.empty((min(per, nr), B, nk), dtype=vals.dtype) if l else None
-    for gb, cb, dst, xr in parts:
-        _blocks(gb, cb[l], dst)
-        for o in range(l - 1, -1, -1):
-            dst *= xr
-            _blocks(gb, cb[o], dst, tmp[: len(dst), : dst.shape[1]])
+        cp = p[:, None] * c + q[:, None] * st
+        cq = q[:, None] * np.where(rot, c, sn) - p[:, None] * st
     # per column, the largest term of each power of 1/r_s, then of each
     # Horner partial sum
-    size = np.einsum("msj,sj->mj", np.max(np.abs(C), axis=2), np.max(np.abs(G), axis=0))
+    r = grid.r()[s:, None]
+    size = np.max(np.abs(cp), axis=1) * np.max(np.abs(g0), axis=0)
+    size += np.max(np.abs(cq), axis=1) * np.max(np.abs(g1), axis=0)
     scale = r[0, 0] ** -np.arange(l + 1.0)[:, None]
     bound = np.max(np.cumsum((size * scale)[::-1], axis=0)[::-1] / scale, initial=0.0)
+    # whole blocks in groups of about _FILL_GROUP values, then the part
+    # block; the block-start rows broadcast over the rows of a block
+    x = 1.0 / r
+    g0, g1 = g0[:, None], g1[:, None]
+    per = max(1, _FILL_GROUP // (B * nk))
+    body, xb = tail[: nb * B].reshape(nb, B, nk), x[: nb * B].reshape(nb, B, 1)
+    parts = [(slice(b, min(b + per, nb)), body[b : b + per], xb[b : b + per], B) for b in range(0, nb, per)]
+    if rest:
+        parts.append((slice(nb, nr), tail[nb * B :][None], x[nb * B :][None], rest))
+    buf = np.empty((min(per, nr), B, nk), dtype=vals.dtype)
+    for blk, dst, xr, n in parts:
+        tmp = buf[: len(dst), :n]
+        np.multiply(cp[l, :n], g0[blk], out=dst)
+        dst += np.multiply(cq[l, :n], g1[blk], out=tmp)
+        for o in range(l - 1, -1, -1):
+            dst *= xr
+            dst += np.multiply(cp[o, :n], g0[blk], out=tmp)
+            dst += np.multiply(cq[o, :n], g1[blk], out=tmp)
     if zero.any():
         u, v = rw[:, None] ** (l + 1), rw[:, None] ** -l
         tail[:, zero] = (

@@ -586,6 +586,40 @@ def test_fill_bound_refuses_as_a_full_scan_does(l, sq41, monkeypatch):
     assert any(fast) and not all(fast)
 
 
+def test_fill_bound_holds_the_horner_partial_sums(monkeypatch):
+    """Far from the origin the fill's Horner partial sums outgrow its
+    values by up to r^l: sq41 stretched 1e4 times, at l = 3 and
+    k = 1e-3 i (sq41 at k = 10i in stretched units). From r_max = 6.425e5
+    they pass 1e300 while the values stay below 1e298; those sweeps are
+    scanned and returned. Across the edge of the float range a sweep
+    returns the same values, or is refused, as when every node is
+    scanned."""
+    stretch = 1e4
+    pot = make_potential(PotentialSpec("square", 4.0 / stretch**2, stretch))
+    k = np.array([10j / stretch])
+    bounds = []
+
+    def spy(*args):
+        bounds.append(_free_fill(*args))
+        return bounds[-1]
+
+    def largest(r_max):
+        mesh = _mesh(pot, make_grid(pot, h=stretch / 256, r_max=r_max * stretch))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.max(np.abs(_sweep_regular(mesh, 3, k)))
+        except NumericalError:
+            return None
+
+    monkeypatch.setattr(radial, "_free_fill", spy)
+    ladder = np.arange(63.5, 66.1, 0.25)
+    fast = [largest(r_max) for r_max in ladder]
+    assert any(b >= radial._FILL_LIMIT and v is not None and v < 1e298 for b, v in zip(bounds, fast))
+    monkeypatch.setattr(radial, "_FILL_LIMIT", 0.0)
+    assert fast == [largest(r_max) for r_max in ladder]
+    assert fast[0] is not None and fast[-1] is None
+
+
 def test_nan_in_the_window_is_refused(sq41):
     """A NaN on the window reaches the fill's coefficients: its bound is
     then NaN, not below the limit, so the fill's rows are scanned; and a
