@@ -55,7 +55,7 @@ from .poletheorem import (
     _samples,
     extrapolate_to_pole,
 )
-from .radial import _condition, _jost, _mesh, _Mesh, _wave
+from .radial import _condition, _jost, _jost_from_regular, _mesh, _Mesh, _wave
 from .spectrum import _normalised, _regula_falsi, _scan_roots
 
 #: each parity's channel row (l_out, sign): the l of the regular solution
@@ -130,7 +130,7 @@ def solve_parity(p: Potential1D, parity: str, k, grid: Grid | None = None) -> Pa
     if np.any(k <= 0):
         raise SpecError("solve_parity wants real k > 0")
     mesh = _mesh(p.half, grid)
-    y, w = _wave(mesh, l_out, 0, k, lambda w: -sign * k / np.abs(w))
+    y, w = _wave(mesh, l_out, k, lambda w: -sign * k / np.abs(w))
     return ParitySolution(mesh.grid, parity, k, y, -np.angle((-1j * k) ** l_out * w))
 
 
@@ -142,8 +142,9 @@ def smatrix_1d(p: Potential1D, parity: str, k, grid: Grid | None = None) -> np.n
     """
     l_out, sign = _channel(parity)
     k = np.atleast_1d(np.asarray(k, dtype=complex))
-    f_up, f_dn = _jost(_mesh(p.half, grid), l_out, 0, k, minus=True)
-    return sign * (f_dn / f_up)
+    mesh = _mesh(p.half, grid)
+    y, f_up = _jost(mesh, l_out, k)
+    return sign * (_jost_from_regular(mesh, l_out, -k, y) / f_up)
 
 
 @dataclass
@@ -185,7 +186,7 @@ def find_bound_1d(
     """
     l_out, sign = _channel(parity)
     mesh = _mesh(p.half, grid)
-    return [_bound_1d(mesh, l_out, parity, a) for a in _scan_roots(mesh, l_out, 0, sign)]
+    return [_bound_1d(mesh, l_out, parity, a) for a in _scan_roots(mesh, l_out, sign)]
 
 
 def build_bound_1d(p: Potential1D, parity: str, alpha: float, grid: Grid) -> BoundState1D:
@@ -197,7 +198,7 @@ def build_bound_1d(p: Potential1D, parity: str, alpha: float, grid: Grid) -> Bou
 
 
 def _bound_1d(mesh: _Mesh, l_out: int, parity: str, alpha: float) -> BoundState1D:
-    u, half_norm = _normalised(mesh, l_out, 0, alpha)
+    u, half_norm = _normalised(mesh, l_out, alpha)
     return BoundState1D(mesh.grid, parity, alpha, u, 1.0 / math.sqrt(2.0 * half_norm))
 
 
@@ -230,7 +231,7 @@ def extrapolant_samples_1d(
     """
     l_out, sign = _channel(parity)
     return _samples(
-        _mesh(p.half, grid), l_out, 0, sign, alpha, n_samples, spacing, mode,
+        _mesh(p.half, grid), l_out, sign, alpha, n_samples, spacing, mode,
         lambda t: -sign * np.sqrt(alpha * (alpha**2 + t)),
     )
 
@@ -320,15 +321,15 @@ def zero_energy_phase(p: Potential1D, grid: Grid | None = None) -> ZeroEnergyPha
     ks = np.array([0.02, 0.04, 0.06]) / scale
     # one window sweep: the condition at i k_lo and i k_hi, the phase
     # delta = -arg((-ik)^l_out W) of solve_parity at ks
-    w = _jost(mesh, l_out, 0, np.concatenate([1j * np.array([k_lo, k_hi]), ks]))
+    w = _jost(mesh, l_out, np.concatenate([1j * np.array([k_lo, k_hi]), ks]))[1]
     c = sign * w[:2].real
     threshold = None
     # linear extrapolation of the even condition to kappa = 0: a state
     # at (or crossing) threshold makes it vanish there
     c_zero = c[0] - k_lo * (c[1] - c[0]) / (k_hi - k_lo)
     if c[0] * c[1] < 0.0:
-        even = _condition(mesh, l_out, 0, sign)
-        threshold = float(_regula_falsi(even, [k_lo], [k_hi], [c[0]], [c[1]])[0])
+        even = _condition(mesh, l_out, sign)
+        threshold = float(_regula_falsi(lambda x: even(x)[0], [k_lo], [k_hi], [c[0]], [c[1]])[0])
     elif abs(c_zero) < 1e-3 * max(abs(c[0]), abs(c[1])):
         threshold = 0.0
     deltas = np.unwrap(-np.angle((-1j * ks) ** l_out * w[2:]))

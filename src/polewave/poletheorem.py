@@ -58,9 +58,10 @@ from .radial import (
     _condition,
     _jost,
     _jost_derivative,
+    _jost_from_regular,
     _mesh,
     _Mesh,
-    _regular_and_jost,
+    _wave,
     jost_function,
 )
 from .spectrum import BoundState
@@ -104,7 +105,8 @@ class ExtrapolantSamples:
 
 def _branch_sign(condition, alpha: float) -> float:
     """Sign of a real bound-state condition on the imaginary axis just
-    below its simple zero at kappa = alpha.
+    below its simple zero at kappa = alpha; condition maps kappa to the
+    value and the count, as radial._condition does.
 
     The sign is constant between neighboring zeros, so probing at 0.1
     percent below alpha reads it off without landing on either
@@ -113,7 +115,7 @@ def _branch_sign(condition, alpha: float) -> float:
     if not (alpha > 0 and math.isfinite(alpha)):
         raise SpecError("alpha must be positive")
     for back in (1e-3, 4e-3):
-        value = float(condition(alpha * (1.0 - back))[0])
+        value = float(condition(alpha * (1.0 - back))[0][0])
         if value != 0.0:
             return math.copysign(1.0, value)
     raise NumericalError(
@@ -133,7 +135,7 @@ def pole_branch_sign(
     t = -alpha^2 is -u_alpha regardless of how many deeper states the
     well holds.
     """
-    return _branch_sign(_condition(_mesh(potential, grid), l, l, 1.0), alpha)
+    return _branch_sign(_condition(_mesh(potential, grid, l), l, 1.0), alpha)
 
 
 def _sample_window(
@@ -198,7 +200,6 @@ def _extrapolant(
 def _samples(
     mesh: _Mesh,
     l_out: int,
-    l: int,
     sign: float,
     alpha: float,
     n_samples: int,
@@ -206,13 +207,15 @@ def _samples(
     window: str,
     pref,
 ) -> ExtrapolantSamples:
-    """g on a window of _sample_window for the channel (l_out, sign) of
-    radial._condition: one sweep of the window's momenta for y, F(k) and
-    F(-k), the branch probe of the condition, and pref(t) (_pref in 3D)."""
+    """g on a window of _sample_window for the channel row (l_out, sign)
+    of radial._condition, stored with l = max(l_out, 0): one sweep of the
+    window's momenta for y, F(k) and F(-k), the branch probe of the
+    condition, and pref(t) (_pref in 3D)."""
     t, k = _sample_window(alpha, n_samples, spacing, window)
-    y, f_up, f_dn = _regular_and_jost(mesh, l_out, l, k)
-    s = _branch_sign(_condition(mesh, l_out, l, sign), alpha)
-    return _extrapolant(mesh.grid, l, alpha, t, y, (f_up * f_dn).real, s, pref(t))
+    y, f_up = _wave(mesh, l_out, k)
+    f_dn = _jost_from_regular(mesh, l_out, -k, y)
+    s = _branch_sign(_condition(mesh, l_out, sign), alpha)
+    return _extrapolant(mesh.grid, max(l_out, 0), alpha, t, y, (f_up * f_dn).real, s, pref(t))
 
 
 def _pref(l: int, alpha: float):
@@ -232,7 +235,7 @@ def extrapolant_samples(
     """Sample g at real momenta t_j = j * spacing * alpha^2, j = 1..n;
     the default spacing is 0.05."""
     return _samples(
-        _mesh(potential, grid), l, l, 1.0, alpha, n_samples, spacing, "real", _pref(l, alpha)
+        _mesh(potential, grid, l), l, 1.0, alpha, n_samples, spacing, "real", _pref(l, alpha)
     )
 
 
@@ -263,7 +266,7 @@ def extrapolant_samples_near_pole(
     to demonstrate extrapolation from scattering energies.
     """
     return _samples(
-        _mesh(potential, grid), l, l, 1.0, alpha, n_samples, spacing, "near", _pref(l, alpha)
+        _mesh(potential, grid, l), l, 1.0, alpha, n_samples, spacing, "near", _pref(l, alpha)
     )
 
 
@@ -438,10 +441,12 @@ def smatrix_residue(
     inside the region of analyticity.
     """
     if method == "imaginary_axis":
-        mesh = _mesh(potential, grid)
+        mesh = _mesh(potential, grid, l)
 
         def rho(kappa):
-            f_up, f_dn = _jost(mesh, l, l, 1j * kappa, minus=True)
+            k = 1j * kappa
+            phi, f_up = _jost(mesh, l, k)
+            f_dn = _jost_from_regular(mesh, l, -k, phi)
             return (kappa - alpha) * f_dn.real / f_up.real
 
         value, err = _ladder_residue(alpha, rho)
@@ -486,7 +491,7 @@ def jost_derivative(
 ) -> JostDerivative:
     """dF_l/dk at k0 != 0 on the real or the imaginary axis, from one
     sweep of one complex step in E = k0^2 (radial._jost_derivative)."""
-    d, rounding = _jost_derivative(_mesh(potential, grid), l, k0)
+    d, rounding = _jost_derivative(_mesh(potential, grid, l), l, k0)
     return JostDerivative(complex(d[0]), float(rounding[0]))
 
 
@@ -523,14 +528,15 @@ def gw_extrapolant(
     F(-k); one complex-step sweep of the same momenta serves F'."""
     k = np.atleast_1d(np.asarray(k, dtype=complex))
     mesh = _mesh(potential, grid)
-    phi, f, f_dn = _regular_and_jost(mesh, 0, 0, k)
+    phi, f = _wave(mesh, 0, k)
+    f_dn = _jost_from_regular(mesh, 0, -k, phi)
     fdot = _jost_derivative(mesh, 0, k)[0]
     pref = np.sqrt(4j * alpha**2 * f / fdot)
     # the wave normalization |F| continues off the real axis as
     # sqrt(F(k) F(-k)), which vanishes with F at the pole and keeps the
     # product finite; np.abs would not
     d = f * f_dn
-    s = _branch_sign(_condition(mesh, 0, 0, 1.0), alpha)
+    s = _branch_sign(_condition(mesh, 0, 1.0), alpha)
     v = s * phi / np.sqrt(d)[None, :]
     t = k * k
     universal = _extrapolant(grid, 0, alpha, t, phi, d, s, _pref(0, alpha)(t))

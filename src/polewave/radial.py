@@ -100,8 +100,12 @@ class _Mesh:
         return self.cutoff + 2 if self.cutoff > 0 else self.grid.n // 2
 
 
-def _mesh(potential: Potential, grid: Grid | None = None) -> _Mesh:
-    """The _Mesh of a potential on a grid, by default make_grid's."""
+def _mesh(potential: Potential, grid: Grid | None = None, l: int = 0) -> _Mesh:
+    """The _Mesh of a potential on a grid, by default make_grid's. l is
+    the partial wave of a public caller, refused below 0 before the grid
+    is read: a private sweep at l_out = -1 is the line's even channel."""
+    if l < 0:
+        raise SpecError("l must be a non-negative integer")
     if grid is None:
         grid = make_grid(potential)
     pieces = potential.pieces()
@@ -191,8 +195,12 @@ def _sweep_regular(mesh: _Mesh, l: int, k, top: int | None = None, norm=None) ->
     """Values of the regular solution for l >= -1 on nodes 0..top
     (default the whole grid), shape (top + 1, nk).
 
-    The first two nodes come from the origin series, the origin itself
-    included at l = -1 where the solution does not vanish there. Numerov
+    Nodes up to s + 1 come from the origin series, s = 1 +
+    isqrt(l(l+1) // 12), the origin itself included at l = -1 (s = 0)
+    where the solution does not vanish there; Numerov marches from node
+    s on. Its g = 1 - h^2 w / 12 is 1 - l(l+1) / 12 j^2 + O(h^2) at node
+    j, so no marched node has g <= 0, whatever h is; seeds that do not
+    fit inside the first smooth piece and below top are refused. Numerov
     is a forward recurrence, so stopping at top leaves every value it
     does compute bit-identical to the same nodes of a longer sweep. The
     values are float64 where every k^2 is real (_squares), else complex.
@@ -217,7 +225,12 @@ def _sweep_regular(mesh: _Mesh, l: int, k, top: int | None = None, norm=None) ->
     _check_step(mesh, k2, 0, top)
     h, r = grid.h, grid.r()
     seed = _origin_series(mesh.potential, l, k2)
-    s = 0 if l < 0 else 1
+    s = 0 if l < 0 else 1 + math.isqrt(l * (l + 1) // 12)
+    if s + 1 > min(mesh.domains[0][1], top):
+        raise GridError(
+            f"the origin series at l = {l} seeds nodes up to {s + 1}, past the first "
+            f"smooth piece (node {mesh.domains[0][1]}) or the sweep's top (node {top})"
+        )
     vals = np.empty((grid.n + 1 if whole else top + 1, k.size), dtype=k2.dtype)
     vals[0] = 0.0
     for i0, i1, u in mesh.domains:
@@ -226,8 +239,8 @@ def _sweep_regular(mesh: _Mesh, l: int, k, top: int | None = None, norm=None) ->
         i1 = min(i1, top)
         w = _w_block(u[: i1 - i0 + 1], r[i0 : i1 + 1], l, k2)
         if i0 == 0:
-            vals[s] = seed(r[s])
-            vals[s + 1] = seed(r[s + 1])
+            for j in range(min(s, 1), s + 2):
+                vals[j] = seed(r[j])
             ig.numerov(vals[s], vals[s + 1], w[s:], h, out=vals[s : i1 + 1])
         else:
             du = ig.deriv_backward(vals, i0, h)
@@ -259,14 +272,15 @@ _FILL_LIMIT = 1e300
 def _fill_node(mesh: _Mesh, l: int, k: np.ndarray) -> int:
     """The first node of the free fill of a whole-grid sweep, or n + 1
     for none. It lies past the Jost window, and where the cancellation of
-    the fill, eps (|k| r)^{-(2l+1)} at the smallest nonzero |k|, stays
-    within the march's own rounding i^{3/2} eps over i nodes (the
-    estimate of _rounding): i^{2l + 5/2} >= (|k| h)^{-(2l+1)}. A
-    grid that ends inside the range of the potential gets no fill."""
+    the fill, eps (|k| r)^{-(2l+1)} at the smallest |k|, stays within the
+    march's own rounding i^{3/2} eps over i nodes (the estimate of
+    _rounding): i^{2l + 5/2} >= (|k| h)^{-(2l+1)}. A grid that ends
+    inside the range of the potential, and a batch with k = 0, get no
+    fill."""
     cutoff, n = mesh.potential.cutoff, mesh.grid.n
-    if cutoff is not None and cutoff >= mesh.grid.r_max:
+    kmin = np.min(np.abs(k), initial=np.inf)
+    if (cutoff is not None and cutoff >= mesh.grid.r_max) or kmin == 0:
         return n + 1
-    kmin = np.min(np.abs(k[k != 0]), initial=np.inf)
     rounding = (kmin * mesh.grid.h) ** (-(2 * l + 1) / (2 * l + 2.5))
     return math.ceil(min(max(mesh.window + 3, rounding), n + 1))
 
@@ -281,7 +295,7 @@ def _free_fill(l: int, k: np.ndarray, grid: Grid, i: int, vals: np.ndarray, s: i
     c_m = (l+m)! / (m! (l-m)!): ft_l(+-k, r) scaled by e^{-+ik r_i}, so
     the coefficients keep the size of the values. phi = a f_+ + b f_-
     with a = W[f_-, phi] / 2ik and b = -W[f_+, phi] / 2ik, read on the
-    five nodes around i as F is. At k = 0 the pair is r^{l+1}, r^{-l}.
+    five nodes around i as F is; k = 0 is not filled (_fill_node).
 
     That makes phi = sum_m r^{-m} (p_m g_0 + q_m g_1), in the basis
     g = (cos kr', sin kr') at real k and g = (e^{ikr'}, e^{-ikr'})
@@ -311,8 +325,7 @@ def _free_fill(l: int, k: np.ndarray, grid: Grid, i: int, vals: np.ndarray, s: i
     sum_{m >= o} r_s^{o-m} (max|cp_m| max|g_0| + max|cq_m| max|g_1|),
     maxima taken per column and r_s the radius of node s: it holds
     every value and every Horner partial sum, since 1/r <= 1/r_s. It
-    is NaN where a coefficient is, and a k = 0 column enters with its
-    largest value.
+    is NaN where a coefficient is.
 
     CPU ms per fill of the 6140 nodes past sq41's window, float, medians
     of 21 interleaved calls (2 vCPU, numpy 2.4.6, Python 3.11); B at
@@ -338,8 +351,6 @@ def _free_fill(l: int, k: np.ndarray, grid: Grid, i: int, vals: np.ndarray, s: i
     17 % behind at l = 0 in a third. So B = 64 and 16384 stay.
     """
     h, B, nk = grid.h, _FILL_BLOCK, k.size
-    zero = k == 0
-    k = np.where(zero, 1.0, k)
     win = vals[i - 2 : i + 3]
     rw = np.arange(i - 2, i + 3) * h
     f_up = _free_reduced(l, k, rw) * np.exp(-1j * k * rw[2])
@@ -399,29 +410,22 @@ def _free_fill(l: int, k: np.ndarray, grid: Grid, i: int, vals: np.ndarray, s: i
             dst *= xr
             dst += np.multiply(cp[o, :n], g0[blk], out=tmp)
             dst += np.multiply(cq[o, :n], g1[blk], out=tmp)
-    if zero.any():
-        u, v = rw[:, None] ** (l + 1), rw[:, None] ** -l
-        tail[:, zero] = (
-            wronskian(v, win[:, zero], 2, h) * r ** (l + 1) - wronskian(u, win[:, zero], 2, h) * r**-l
-        ) / (2 * l + 1)
-        bound = np.maximum(bound, np.max(np.abs(tail[:, zero])))
     return float(bound)
 
 
 def solve_regular(potential: Potential, l: int, k, grid: Grid) -> RadialSolution:
     """The regular solution phi_l(k, r) on the whole grid.
 
-    Seeds the first two nodes from the origin power series
-    phi = r^{l+1}/(2l+1)!! (1 + c2 r^2 + c3 r^3 + c4 r^4), then marches
+    Seeds the first nodes, two up to l = 2 and more above, from the
+    origin power series phi = r^{l+1}/(2l+1)!! (1 + c2 r^2 + c3 r^3 +
+    c4 r^4), then marches
     with Numerov, stepping across potential breakpoints one-sidedly, to
     the top of the Jost window; beyond it, where U is zero, phi is the
     exact free solution with the coefficients read on the window. phi is
     entire in k^2, so every momentum is admitted, Im k < 0 included.
     """
-    if l < 0:
-        raise SpecError("l must be a non-negative integer")
     k = _momenta(k)
-    return RadialSolution(grid, l, k, _sweep_regular(_mesh(potential, grid), l, k))
+    return RadialSolution(grid, l, k, _sweep_regular(_mesh(potential, grid, l), l, k))
 
 
 def _on_imaginary_axis(k: np.ndarray, ft: np.ndarray) -> np.ndarray:
@@ -461,7 +465,7 @@ def solve_jost_reduced(potential: Potential, l: int, k, grid: Grid) -> RadialSol
     bound state sweeps it in only to its match node (_matched_state).
     """
     k = _momenta(k)
-    return RadialSolution(grid, l, k, _sweep_jost(_mesh(potential, grid), l, k, 0))
+    return RadialSolution(grid, l, k, _sweep_jost(_mesh(potential, grid, l), l, k, 0))
 
 
 def _check_strip(mesh: _Mesh, kappa: float) -> None:
@@ -481,11 +485,9 @@ def _check_strip(mesh: _Mesh, kappa: float) -> None:
 
 
 def _check_jost(mesh: _Mesh, l: int, k: np.ndarray) -> None:
-    """The refusals of the Jost solution ft_l at momenta k, and the
-    warning where rounding inside the cutoff node grows past
+    """The refusals of the Jost solution ft_l, l >= 0, at momenta k, and
+    the warning where rounding inside the cutoff node grows past
     _CONDITION_LIMIT."""
-    if l < 0:
-        raise SpecError("l must be a non-negative integer")
     if l >= 1 and np.any(k == 0):
         raise SpecError("k = 0 is not meaningful for the Jost solution with l >= 1")
     im_min = float(np.min(k.imag))
@@ -575,13 +577,15 @@ def jost_function(
     does not depend on r_max.
     """
     k = _momenta(k)
-    return _jost(_mesh(potential, grid), l, l, k)
+    return _jost(_mesh(potential, grid, l), l, k)[1]
 
 
-def _jost(mesh: _Mesh, l_out: int, l: int, k, minus: bool = False):
-    """F_l(k), and with minus the pair F_l(k), F_l(-k), from one sweep of
-    the outward solution at l_out (l in 3D; -1 even, 0 odd on the line,
-    where F_0 is f'(k, 0) resp. f(k, 0) up to sign).
+def _jost(mesh: _Mesh, l_out: int, k):
+    """The outward solution at the channel row's l_out (l in 3D; -1 even,
+    0 odd on the line) swept to the top of the Jost window, and F_l(k)
+    read from it, l = max(l_out, 0) (on the line F_0 is f'(k, 0) resp.
+    f(k, 0) up to sign). F_l(-k) is _jost_from_regular of the same
+    values at -k.
 
     The Wronskian is read on the Jost window, the five nodes around
     mesh.window just outside the cutoff node, where ft is the free
@@ -590,17 +594,16 @@ def _jost(mesh: _Mesh, l_out: int, l: int, k, minus: bool = False):
     the Wronskian of full-grid sweeps at the same momenta.
     """
     phi = _sweep_regular(mesh, l_out, k, mesh.window + 2)
-    f = _jost_from_regular(mesh, l, k, phi)
-    return (f, _jost_from_regular(mesh, l, -np.asarray(k), phi)) if minus else f
+    return phi, _jost_from_regular(mesh, l_out, k, phi)
 
 
-def _jost_from_regular(mesh: _Mesh, l: int, k, phi: np.ndarray) -> np.ndarray:
-    """F_l(k) from outward-solution values phi already swept at momenta
-    with the same k^2, so phi swept at k serves F(-k) as well: phi
-    depends on k only through k^2, and (-k)^2 equals k^2 exactly. phi
-    must reach the top of the Jost window, where ft is the free
-    solution."""
-    k = _momenta(k)
+def _jost_from_regular(mesh: _Mesh, l_out: int, k, phi: np.ndarray) -> np.ndarray:
+    """F_l(k), l = max(l_out, 0), from outward-solution values phi at
+    l_out already swept at momenta with the same k^2, so phi swept at k
+    serves F(-k) as well: phi depends on k only through k^2, and (-k)^2
+    equals k^2 exactly. phi must reach the top of the Jost window, where
+    ft is the free solution."""
+    k, l = _momenta(k), max(l_out, 0)
     _check_jost(mesh, l, k)
     i, h = mesh.window, mesh.grid.h
     ft = _free_reduced(l, k, np.arange(i - 2, i + 3) * h)
@@ -652,28 +655,20 @@ def _jost_derivative(mesh: _Mesh, l: int, k):
     return 2 * k * (c * w), 2 * np.abs(k * c) * rounding
 
 
-def _regular_and_jost(mesh: _Mesh, l_out: int, l: int, k):
-    """The outward solution at l_out on the whole grid (marched to the
-    Jost window, free beyond it), with F_l(k) and F_l(-k) read from it
-    on the window."""
-    phi = _sweep_regular(mesh, l_out, k)
-    f = _jost_from_regular(mesh, l, k, phi)
-    return phi, f, _jost_from_regular(mesh, l, -np.asarray(k), phi)
-
-
-def _wave(mesh: _Mesh, l_out: int, l: int, k: np.ndarray, scale):
-    """The whole-grid outward solution at l_out times scale(F_l), and F_l,
-    read on the Jost window of the march before the fill continues it."""
+def _wave(mesh: _Mesh, l_out: int, k, scale=None):
+    """The whole-grid outward solution at l_out (marched to the Jost
+    window, free beyond it) times scale(F_l), if given, and F_l(k), read
+    on the window of the march before the fill continues it."""
     jost = []
 
     def norm(phi):
-        jost.append(_jost_from_regular(mesh, l, k, phi))
-        return scale(jost[0])
+        jost.append(_jost_from_regular(mesh, l_out, k, phi))
+        return 1.0 if scale is None else scale(jost[0])
 
     return _sweep_regular(mesh, l_out, k, norm=norm), jost[0]
 
 
-def _matched_state(mesh: _Mesh, l_out: int, l: int, alpha: float) -> np.ndarray:
+def _matched_state(mesh: _Mesh, l_out: int, alpha: float) -> np.ndarray:
     """The bound-state function at k = i alpha with unit tail coefficient,
     by outward/inward matching (J. W. Cooley, Math. Comp. 15, 363 (1961)).
 
@@ -686,16 +681,22 @@ def _matched_state(mesh: _Mesh, l_out: int, l: int, alpha: float) -> np.ndarray:
     t is within _MATCH_TOL, or on a grid too coarse for that, (q h)^4,
     for the local momentum q of _check_step. The q term keeps the measure
     finite where both log-derivatives nearly vanish at t, as they do near
-    the edge of a square well whose state lies close to threshold.
+    the edge of a square well whose state lies close to threshold. ft
+    and t take l = max(l_out, 0); an alpha with no allowed node inside
+    r_c is refused as well.
     """
     if not (alpha > 0 and math.isfinite(alpha)):
         raise SpecError("alpha must be a positive real number")
-    k = np.array([1j * alpha])
+    k, l = np.array([1j * alpha]), max(l_out, 0)
     grid, m = mesh.grid, mesh.cutoff
     h, r, pot_r = grid.h, grid.r()[1 : m + 1], mesh.u[1 : m + 1]
     allowed = np.flatnonzero(pot_r + l * (l + 1) / r**2 + alpha**2 < 0)
+    if not allowed.size:
+        raise NumericalError(
+            f"alpha = {alpha:.12g} is not a bound state: no node is classically allowed"
+        )
     # both five-node stencils stay on the grid
-    t = min(max(int(allowed[-1]) + 1 if allowed.size else 0, 2), grid.n - 2)
+    t = min(max(int(allowed[-1]) + 1, 2), grid.n - 2)
     phi = _sweep_regular(mesh, l_out, k, t + 2)[:, 0]
     ft = _sweep_jost(mesh, l, k, t - 2)[:, 0]
     a, b = ft[2] * ig.deriv_central(phi, t, h), ig.deriv_central(ft, 2, h) * phi[t]
@@ -710,23 +711,13 @@ def _matched_state(mesh: _Mesh, l_out: int, l: int, alpha: float) -> np.ndarray:
     return np.concatenate([phi[:t] * (ft[2] / phi[t]), ft[2:]])
 
 
-def _condition(mesh: _Mesh, l_out: int, l: int, sign: float):
-    """The real bound-state condition kappa -> sign F_l(i kappa), read
-    off the outward solution at l_out (_jost): F_l in 3D, row (l, +1);
-    f(i kappa, 0) = F_0 (0, +1) and f'(i kappa, 0) = -F_0 (-1, -1) on
-    the line."""
-
-    def condition(kappa):
-        k = 1j * np.atleast_1d(np.asarray(kappa, dtype=float))
-        return sign * _jost(mesh, l_out, l, k).real
-
-    return condition
-
-
-def _counted_condition(mesh: _Mesh, l_out: int, l: int, sign: float):
+def _condition(mesh: _Mesh, l_out: int, sign: float):
     """kappa -> (sign F_l(i kappa), the number of bound states with
-    alpha > kappa), both from the one sweep of the outward solution at
-    l_out that _condition makes, for a batch of kappa > 0.
+    alpha > kappa), the real bound-state condition of the channel row
+    (l_out, sign) and its count, both from one sweep of the outward
+    solution at l_out (_jost), for a batch of kappa > 0: F_l in 3D, row
+    (l, +1); f(i kappa, 0) = F_0 (0, +1) and f'(i kappa, 0) = -F_0
+    (-1, -1) on the line.
 
     The count is Sturm's oscillation count (J. D. Pryce, Numerical
     Solution of Sturm-Liouville Problems, Oxford 1993): the states
@@ -741,15 +732,13 @@ def _counted_condition(mesh: _Mesh, l_out: int, l: int, sign: float):
     _check_step enforces.
     """
 
-    def counted(kappa):
-        k = 1j * np.atleast_1d(np.asarray(kappa, dtype=float))
-        phi = _sweep_regular(mesh, l_out, k, mesh.window + 2)
-        f = _jost_from_regular(mesh, l, k, phi).real
+    def condition(kappa):
+        phi, f = _jost(mesh, l_out, 1j * np.atleast_1d(np.asarray(kappa, dtype=float)))
         s = np.signbit(phi[0 if l_out < 0 else 1 :])
         nodes = np.count_nonzero(s[1:] != s[:-1], axis=0)
-        return sign * f, nodes + (np.signbit(f) != s[-1])
+        return sign * f.real, nodes + (np.signbit(f.real) != s[-1])
 
-    return counted
+    return condition
 
 
 def jost_on_imaginary_axis(
@@ -823,8 +812,6 @@ def physical_wave(
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if np.any(k <= 0):
         raise SpecError("physical_wave is defined for real k > 0")
-    if l < 0:
-        raise SpecError("l must be a non-negative integer")
-    mesh = _mesh(potential, grid)
-    v, fvals = _wave(mesh, l, l, k, lambda f: k**l / np.abs(f))
+    mesh = _mesh(potential, grid, l)
+    v, fvals = _wave(mesh, l, k, lambda f: k**l / np.abs(f))
     return PhysicalWave(mesh.grid, l, k, v, fvals, -np.angle(fvals))

@@ -29,7 +29,7 @@ from . import _integrate as ig
 from ._riccati import free_decay, free_decay_d
 from .errors import NumericalError
 from .potentials import Grid, Potential
-from .radial import _counted_condition, _matched_state, _mesh, _Mesh
+from .radial import _condition, _matched_state, _mesh, _Mesh
 
 #: relative bracket width at which root refinement stops. The bound-state
 #: conditions are rounding noise within about 1e-11 of a root (the line
@@ -142,10 +142,10 @@ def _ab_factor(f_new, f_old):
     return np.where(m > 0, m, 0.5)
 
 
-def _scan_roots(mesh: _Mesh, l_out: int, l: int, sign: float) -> list[float]:
+def _scan_roots(mesh: _Mesh, l_out: int, sign: float) -> list[float]:
     """Zeros of the bound-state condition sign F_l(i kappa) of the channel
-    (l_out, sign) of radial._condition on (0, sqrt(-min U)], deepest
-    first, bracketed by the Sturm count of radial._counted_condition.
+    row (l_out, sign) on (0, sqrt(-min U)], deepest first, bracketed by
+    the Sturm count that radial._condition reads with it.
 
     The count of states with alpha > kappa is read on a first batch of
     _WIDE momenta spread over (lo, sqrt(-min U)]. A cell across which it
@@ -169,7 +169,7 @@ def _scan_roots(mesh: _Mesh, l_out: int, l: int, sign: float) -> list[float]:
     if umin >= 0.0:
         return []
     amax = math.sqrt(-umin)
-    counted = _counted_condition(mesh, l_out, l, sign)
+    counted = _condition(mesh, l_out, sign)
 
     def sweep(kappa):
         parts = [counted(kappa[i : i + ig._WIDE]) for i in range(0, kappa.size, ig._WIDE)]
@@ -218,17 +218,18 @@ def find_bound_states(
     grid: Grid | None = None,
 ) -> list[BoundState]:
     """All bound states for the given l, deepest (largest alpha) first."""
-    mesh = _mesh(potential, grid)
-    return [_bound_state(mesh, l, a) for a in _scan_roots(mesh, l, l, 1.0)]
+    mesh = _mesh(potential, grid, l)
+    return [_bound_state(mesh, l, a) for a in _scan_roots(mesh, l, 1.0)]
 
 
-def _normalised(mesh: _Mesh, l_out: int, l: int, alpha: float) -> tuple[np.ndarray, float]:
+def _normalised(mesh: _Mesh, l_out: int, alpha: float) -> tuple[np.ndarray, float]:
     """The matched bound state at k = i alpha with unit tail coefficient
     (radial._matched_state, outward solution at l_out) and the integral
     of its square over r > 0: Simpson on the grid plus the exact decay
-    tail beyond r_max."""
-    u, h = _matched_state(mesh, l_out, l, alpha), mesh.grid.h
-    return u, float(ig.simpson(u**2, h)) + decay_tail_integral(l, alpha, mesh.grid.r_max)
+    tail of l = max(l_out, 0) beyond r_max."""
+    u, grid = _matched_state(mesh, l_out, alpha), mesh.grid
+    tail = decay_tail_integral(max(l_out, 0), alpha, grid.r_max)
+    return u, float(ig.simpson(u**2, grid.h)) + tail
 
 
 def build_bound_state(
@@ -240,11 +241,11 @@ def build_bound_state(
     accuracy: the outward and inward solutions are matched at the outer
     turning point, and a Wronskian mismatch there refuses anything else.
     """
-    return _bound_state(_mesh(potential, grid), l, alpha)
+    return _bound_state(_mesh(potential, grid, l), l, alpha)
 
 
 def _bound_state(mesh: _Mesh, l: int, alpha: float) -> BoundState:
-    u, total = _normalised(mesh, l, l, alpha)
+    u, total = _normalised(mesh, l, alpha)
     norm = 1.0 / math.sqrt(total)
     return BoundState(grid=mesh.grid, l=l, alpha=alpha, u=norm * u, asymptotic_norm=norm)
 

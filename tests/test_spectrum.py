@@ -183,6 +183,9 @@ def test_build_rejects_non_eigenvalues(sq41, sq60):
     pot, grid = sq60
     with pytest.raises(NumericalError):
         build_bound_state(pot, 2, 3.0, grid)
+    # no node is classically allowed, at an l that seeds five nodes
+    with pytest.raises(NumericalError, match="not a bound state"):
+        build_bound_state(pot, 10, 8.0, grid)
 
 
 @given(st.floats(1.5, 40.0), st.floats(0.5, 1.5))
@@ -234,6 +237,41 @@ def test_deep_square_well_spectrum_is_complete(depth, l, count):
     assert np.all(np.abs(found - alphas) <= depth**3 * h**4 / (240.0 * alphas))
 
 
+@pytest.fixture(scope="module")
+def sq400():
+    pot = make_potential(PotentialSpec("square", 400.0, 1.0))
+    return pot, make_grid(pot, h=1 / 256), SquareWellOracle(400.0, 1.0)
+
+
+@pytest.mark.parametrize("l", range(15))
+def test_deep_well_matches_the_oracle_at_high_l(l, sq400):
+    """Square (400, 1) at l = 0..14 on the default grid: every state of
+    the closed form is found, with alpha and N close to it. Near the
+    origin Numerov's g = 1 - h^2 w / 12 is about 1 - l(l+1) / 12 j^2 at
+    node j, at most 0 up to j = sqrt(l(l+1) / 12) (g_1..g_3 = -8.2,
+    -1.3, -0.02 at l = 10), whatever h is; those nodes are seeded from
+    the origin series, not marched. Marching them counted phantom states
+    below the bottom of the well from l = 10 on. The bounds round up the
+    largest errors measured, 7.8e-7 in alpha and 5.6e-6 in N (l = 6)."""
+    pot, grid, oracle = sq400
+    states = find_bound_states(pot, l, grid)
+    alphas = oracle.bound_alphas(l)
+    assert len(states) == len(alphas) >= 1
+    for s, a in zip(states, alphas):
+        assert abs(s.alpha - a) <= 1.5e-6 * a
+        norm = oracle.normalization(l, a)
+        assert abs(s.asymptotic_norm - norm) <= 1e-5 * norm
+
+
+def test_no_state_at_l10_in_square_60(sq60):
+    """Square (60, 1) holds no l = 10 state: the search returns none,
+    where marching the nodes with g <= 0 counted one below the bottom of
+    the well."""
+    pot, grid = sq60
+    assert SquareWellOracle(60.0, 1.0).bound_alphas(10) == []
+    assert find_bound_states(pot, 10, grid) == []
+
+
 @pytest.mark.parametrize("depth", [15.0, 60.0])
 def test_levinson_counts_the_p_wave_states(depth):
     """Levinson's theorem at l = 1, which has no half-bound-state
@@ -257,7 +295,7 @@ def test_search_refuses_a_short_list(deep30, monkeypatch):
     """A refinement that loses a root, and a count that reads a state
     below the bottom of the well, are refused, not returned short."""
     pot, grid = deep30
-    refine, counted = spectrum._regula_falsi, spectrum._counted_condition
+    refine, counted = spectrum._regula_falsi, spectrum._condition
     monkeypatch.setattr(
         spectrum, "_regula_falsi", lambda *args: np.full(2, refine(*args)[0])
     )
@@ -274,7 +312,7 @@ def test_search_refuses_a_short_list(deep30, monkeypatch):
 
         return shifted
 
-    monkeypatch.setattr(spectrum, "_counted_condition", one_more)
+    monkeypatch.setattr(spectrum, "_condition", one_more)
     with pytest.raises(NumericalError, match="bottom of the well"):
         find_bound_states(pot, 0, grid)
 
@@ -295,8 +333,8 @@ def test_search_keeps_a_root_at_a_cell_end(sq41, monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(spectrum, "_counted_condition", disagreeing)
-    assert spectrum._scan_roots(_mesh(pot, grid), 0, 0, 1.0) == [first[0]]
+    monkeypatch.setattr(spectrum, "_condition", disagreeing)
+    assert spectrum._scan_roots(_mesh(pot, grid), 0, 1.0) == [first[0]]
 
 
 def test_step_halving_converges_at_fourth_order(sq41, sq41_oracle):

@@ -23,7 +23,7 @@ from polewave.poletheorem import (
     smatrix_residue,
 )
 from polewave.potentials import PotentialSpec, make_grid, make_potential
-from polewave.radial import _mesh, _regular_and_jost, physical_wave
+from polewave.radial import _mesh, _wave, physical_wave
 from polewave.spectrum import find_bound_states
 
 
@@ -163,6 +163,6 @@ def test_gw_prefactor_is_the_per_momentum_form(well, axis, request):
     alpha = find_bound_states(pot, 0, grid)[0].alpha
     k = np.linspace(0.2, 2.5, 5) if axis == "real" else 1j * alpha * np.linspace(0.5, 0.95, 5)
     gw = gw_extrapolant(pot, alpha, k, grid)
-    _, f, _ = _regular_and_jost(_mesh(pot, grid), 0, 0, np.asarray(k, dtype=complex))
+    _, f = _wave(_mesh(pot, grid), 0, np.asarray(k, dtype=complex))
     fdot = np.array([jost_derivative(pot, 0, kk, grid).value for kk in k])
     assert np.array_equal(gw.prefactor, np.sqrt(4j * alpha**2 * f / fdot))

@@ -29,9 +29,10 @@ from polewave.potentials import PotentialSpec, make_grid, make_potential
 from polewave.radial import (
     _condition,
     _jost,
+    _jost_from_regular,
     _mesh,
-    _regular_and_jost,
     _sweep_regular,
+    _wave,
     jost_function,
     jost_on_imaginary_axis,
     physical_wave,
@@ -68,7 +69,8 @@ def test_jost_function_is_bit_identical_to_the_full_sweeps(well, l, request):
         if well == "exp905" and k is K_UP:
             continue
         with pytest.warns(ConditioningWarning) if well == "gauss41" and k is K_UP else nullcontext():
-            f_dn = _jost(_mesh(pot, grid), l, l, k, minus=True)[1]
+            mesh = _mesh(pot, grid)
+            f_dn = _jost_from_regular(mesh, l, -k, _jost(mesh, l, k)[0])
             assert np.array_equal(f_dn, _full_grid_jost(pot, l, -k, grid))
 
 
@@ -84,7 +86,7 @@ def test_line_channels_read_the_jost_window(well, request):
 
     def condition(parity):
         l_out, sign = _CHANNEL[parity]
-        return _condition(_mesh(p.half, grid), l_out, 0, sign)(kappa)
+        return _condition(_mesh(p.half, grid), l_out, sign)(kappa)[0]
 
     odd = condition("odd")
     assert np.array_equal(odd, jost_on_imaginary_axis(pot, 0, kappa, grid))
@@ -98,9 +100,12 @@ def test_line_channels_read_the_jost_window(well, request):
         # 1e14 on gauss41 (r_c = 5.38)
         deep = well == "gauss41" and k is K_UP
         with pytest.warns(ConditioningWarning) if deep else nullcontext():
-            _, f_up, f_dn = _regular_and_jost(_mesh(pot, grid), 0, 0, k)
+            mesh = _mesh(pot, grid)
+            phi, f_up = _wave(mesh, 0, k)
+            f_dn = _jost_from_regular(mesh, 0, -k, phi)
             s_even, s_odd = smatrix_1d(p, "even", k, grid), smatrix_1d(p, "odd", k, grid)
-            even_up, even_dn = _jost(_mesh(pot, grid), -1, 0, k, minus=True)
+            y, even_up = _jost(mesh, -1, k)
+            even_dn = _jost_from_regular(mesh, -1, -k, y)
             assert np.array_equal(even_up, _full_grid_jost(pot, 0, k, grid, l_out=-1))
             assert np.array_equal(even_dn, _full_grid_jost(pot, 0, -k, grid, l_out=-1))
         assert np.array_equal(s_odd, f_dn / f_up)
@@ -123,7 +128,7 @@ WHOLE_GRID = {
     "solve_parity even": lambda pot, grid, k: solve_parity(Potential1D(pot), "even", k, grid),
     "solve_parity odd": lambda pot, grid, k: solve_parity(Potential1D(pot), "odd", k, grid),
     "solve_regular": lambda pot, grid, k: solve_regular(pot, 0, 1j * k, grid),
-    "regular_and_jost": lambda pot, grid, k: _regular_and_jost(_mesh(pot, grid), 1, 1, k),
+    "regular_and_jost": lambda pot, grid, k: _wave(_mesh(pot, grid), 1, k),
 }
 
 
