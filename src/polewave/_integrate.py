@@ -24,20 +24,22 @@ from .errors import GridError
 _WIDE = 32
 #: nodes per block of the blocked march
 _BLOCK = 32
+#: bytes of values per chunk of a wide batch's march
+_CHUNK = 1 << 18
 
 
-def numerov(u0, u1, w, h: float, out=None) -> np.ndarray:
-    """March u'' = w u across the nodes of w (leading axis) and return
-    the values.
+def numerov(u0, u1, out, v, k2, h: float) -> np.ndarray:
+    """March u'' = w u, w = v - k^2, across the nodes of v and write
+    the values into out, which is returned.
 
-    u0 and u1 are the values on the first two nodes, in marching order;
-    for an inward sweep pass w reversed and a reversed view as out. The
-    local error is O(h^6), the global error O(h^4). w is consumed: it
-    must be a fresh float or complex array, and U is built in it. The
-    values are written into out, an array of w's shape whose first two
-    rows may be u0 and u1 themselves, or else into a new array; rows 0
-    and 1 come back as the seeds bit for bit. The march runs in the
-    dtypes of w and of the values: float64 throughout where w and the
+    v is the node column U + l(l+1)/r^2 and k2 the batch's k^2; out has
+    shape (nodes, momenta), and w[j] = v[j] - k2 is built here, a chunk
+    of nodes at a time on a wide batch. u0 and u1 are the values on the
+    first two nodes, in marching order; for an inward sweep pass v and
+    out as reversed views. out's first two rows may be u0 and u1
+    themselves; rows 0 and 1 come back as the seeds bit for bit. The
+    local error is O(h^6), the global error O(h^4). The march runs in
+    the dtypes of w and of out: float64 throughout where k2 and the
     seeds are real, as the radial sweeps make them wherever every k^2 of
     a batch is real.
 
@@ -52,7 +54,13 @@ def numerov(u0, u1, w, h: float, out=None) -> np.ndarray:
     float against 2.2e-11.
 
     A batch of more than _WIDE momenta runs the recurrence node by node,
-    one numpy step per node (_march_rows). A real batch of one momentum
+    one numpy step per node (_march_rows), in chunks of about _CHUNK
+    bytes of values (_march_chunks): w, g and U of a chunk are built in
+    two buffers of the chunk's size, the chunk is marched, and its
+    values are divided by g while they are still in cache, so no
+    temporary of the sweep's size is made. Each value takes the
+    operations of the whole-array passes in their order, so it is bit
+    for bit the row loop on the whole w. A real batch of one momentum
     runs the same operations in the same order on Python floats
     (_march_floats), bit for bit the row loop. Any other batch, where
     the row loop's numpy steps cost far more than their arithmetic, is
@@ -84,6 +92,31 @@ def numerov(u0, u1, w, h: float, out=None) -> np.ndarray:
         1381      8        1.5    1.3       0.79   0.50
         1381     32        2.3    1.6       2.0    0.86
         1381     64        3.0    1.6       3.6    1.3
+
+    Wide batches, CPU ms per call by chunk size in KiB of values, against
+    the whole-array passes (w built, then g and U, the march, and
+    u = y / g, each over the whole sweep), median of 21 interleaved calls
+    (2 vCPU, numpy 2.4.6, Python 3.11). 256 KiB, 109 nodes of 300 float
+    momenta or 54 complex, is the best size in 9 of these 11 rows; at
+    128 momenta the smallest size read best, by 11 %, and the whole
+    arrays come close there:
+
+        nodes  momenta         chunk of ... KiB              whole
+                         64    128    256    512   1024   arrays
+        6401   300      20.3   18.6   18.3   20.1   21.9     27.9
+        4030   300      13.0   11.8   11.5   12.3   13.6     16.6
+        1381   300       4.1    3.8    3.7    4.0    4.5      5.1
+         513   300       1.5    1.4    1.3    1.5    1.7      1.6
+        6401   300 c    38.0   33.2   32.6   34.8   35.2     53.0
+        4030   300 c    23.2   20.9   20.0   20.9   21.6     30.9
+        4030    33       5.2    5.1    5.1    5.2    5.3      5.6
+        4030    64       5.9    5.7    5.6    5.8    6.3      6.5
+        4030   128       7.9    8.8    8.9    9.5    8.5      9.0
+        4030   600      24.1   22.7   22.3   23.8   26.3     37.7
+        1381  1200      19.0   15.8   15.1   16.2   18.1     22.7
+
+    (c: complex.) A 300-momentum sweep of 4030 nodes then peaks at 1.14
+    times its values under tracemalloc, against 3.0 with whole arrays.
 
     One real momentum, blocked against Python floats, CPU ms per call,
     median of 11 interleaved calls (same host). The blocked march's
@@ -117,37 +150,78 @@ def numerov(u0, u1, w, h: float, out=None) -> np.ndarray:
     (1, 0), (0, 1) in place of _march_blocks' (value, difference) basis
     gave median 4.4x and up to 635x the loop's error.
     """
+    out[0] = u0
+    out[1] = u1
+    if out[0].size > _WIDE:
+        _march_chunks(out, v, k2, h)
+        return out
+    w = np.subtract.outer(v, k2)
     g = np.multiply(w, -(h * h / 12.0))
     g += 1.0
     U = w
     U[1:-1] *= h * h
     U[1:-1] /= g[1:-1]
     U[1:-1] += 2.0
-    u = np.empty(w.shape, dtype=np.result_type(u0, u1, w, float)) if out is None else out
-    u[0] = u0
-    u[1] = u1
-    # y = g u is marched in u; y / g would round rows 0 and 1, which
+    # y = g u is marched in out; y / g would round rows 0 and 1, which
     # may be the caller's seeds, so they are put back from a copy
-    seeds = u[:2].copy()
-    u[:2] *= g[:2]
-    if u[0].size > _WIDE:
-        _march_rows(u, U)
-    elif u[0].size == 1 and u.dtype == float:
-        _march_floats(u, U)
+    seeds = out[:2].copy()
+    out[:2] *= g[:2]
+    if out[0].size == 1 and out.dtype == float:
+        _march_floats(out, U)
     else:
-        _march_blocks(u, U)
-    u[2:] /= g[2:]
-    u[:2] = seeds
-    return u
+        _march_blocks(out, U)
+    out[2:] /= g[2:]
+    out[:2] = seeds
+    return out
+
+
+def _march_chunks(u, v, k2, h: float) -> None:
+    """Fill u[2:] of a wide batch from u[0], u[1], a chunk of about
+    _CHUNK bytes of values (at least two nodes) at a time: build w, g
+    and U of the chunk in two buffers, march y = g u over it
+    (_march_rows) and divide it by g while it is in cache.
+
+    y of a chunk's nodes is held in a buffer whose rows 0 and 1 carry y
+    on the two nodes before the chunk's second one: the last node a
+    chunk marches is the first of the next, and is divided by g there.
+    Each value takes numerov's operations in numerov's order.
+    """
+    n, rest = u.shape[0], u.shape[1:]
+    R = min(n, max(2, _CHUNK // u[0].nbytes))
+    U = np.empty((R,) + rest, dtype=np.result_type(v, k2))
+    g = np.empty_like(U)
+    # y[i] holds y on node a - 1 + i of the chunk that starts at node a
+    y = np.empty((R + 2,) + rest, dtype=u.dtype)
+    for a in range(0, n, R):
+        m = min(R, n - a)
+        Uc, gc = U[:m], g[:m]
+        np.subtract.outer(v[a : a + m], k2, out=Uc)
+        np.multiply(Uc, -(h * h / 12.0), out=gc)
+        gc += 1.0
+        # U is built on nodes 1 .. n - 2 only, the ones the march reads
+        lo, hi = max(a, 1) - a, min(a + m, n - 1) - a
+        Ui = Uc[lo:hi]
+        Ui *= h * h
+        Ui /= gc[lo:hi]
+        Ui += 2.0
+        if a == 0:
+            np.multiply(u[0], gc[0], out=y[1])
+            np.multiply(u[1], gc[1], out=y[2])
+        _march_rows(y[lo : hi + 2], Ui)
+        d = max(a, 2)
+        np.divide(y[d - a + 1 : m + 1], gc[d - a :], out=u[d : a + m])
+        y[:2] = y[m : m + 2]
 
 
 def _march_rows(y, U) -> None:
-    """Fill y[2:] from y[0], y[1] by y[j+1] = U[j] y[j] - y[j-1], one
-    numpy step per node across the batch, written in place through row
-    views."""
-    for Uj, yp, yj, yn in zip(U[1:-1], y, y[1:], y[2:]):
-        np.multiply(Uj, yj, out=yn)
-        yn -= yp
+    """Fill y[2:] from y[0], y[1] by y[t + 2] = U[t] y[t + 1] - y[t],
+    one numpy step per node across the batch, written in place through
+    row views. The ufuncs take out positionally: a keyword costs 7 % of
+    the step at 300 momenta."""
+    mul, sub = np.multiply, np.subtract
+    for Uj, yp, yj, yn in zip(U, y, y[1:], y[2:]):
+        mul(Uj, yj, yn)
+        sub(yn, yp, yn)
 
 
 def _march_floats(y, U) -> None:

@@ -4,8 +4,11 @@ We need j-hat, y-hat and h-hat(+), and the first derivatives of j-hat
 and h-hat(+), for low partial waves but at genuinely complex argument
 (the Jost machinery evaluates them at k r with k anywhere in the cut
 plane). scipy's spherical_jn only takes real arguments, so l = 0, 1 are
-written out in closed form and higher l is built by upward recurrence,
-which is stable for the moderate |x| and small l used here.
+written out in closed form and higher l is built by upward recurrence.
+The recurrence is stable for yhat and hhat, which grow with l, and for
+jhat where |x| >= l; jhat_l decays with l where |x| < l, the recurrence
+loses every digit there, and jhat and jhat' are summed from their
+ascending series instead.
 
 Conventions:
 
@@ -20,28 +23,13 @@ from __future__ import annotations
 
 import numpy as np
 
-# Below this |x| the explicit jhat_1 formula loses digits to cancellation,
-# so a short Taylor series takes over (error ~ x^8/75600 < 1e-12 there).
-_SMALL = 0.1
-
-
 def _asarray(x):
     return np.asarray(x, dtype=complex)
 
 
 def jhat(l: int, x) -> np.ndarray:
     """Riccati-Bessel function x j_l(x), regular at the origin."""
-    x = _asarray(x)
-    if l == 0:
-        return np.sin(x)
-    if l == 1:
-        small = np.abs(x) < _SMALL
-        xs = np.where(small, 1.0, x)
-        direct = np.sin(xs) / xs - np.cos(xs)
-        x2 = x * x
-        series = x2 / 3.0 * (1.0 - x2 / 10.0 * (1.0 - x2 / 28.0))
-        return np.where(small, series, direct)
-    return _recur_pair(l, x, jhat(0, x), jhat(1, x))[1]
+    return _jhat_pair(l, x)[0]
 
 
 def yhat(l: int, x) -> np.ndarray:
@@ -90,18 +78,49 @@ def _recur_pair(l: int, x, z0, z1):
 
 def jhat_d(l: int, x) -> np.ndarray:
     """d/dx of jhat_l."""
+    return _jhat_pair(l, x)[1]
+
+
+def _jhat_pair(l: int, x):
+    """(jhat_l(x), jhat_l'(x)): the ascending series at |x| < l, where
+    the upward recurrence from jhat_0 and jhat_1 loses every digit (at
+    l = 1 the closed form sin x / x - cos x loses them as x -> 0); the
+    recurrence elsewhere."""
     x = _asarray(x)
     if l == 0:
-        return np.cos(x)
-    if l == 1:
-        small = np.abs(x) < _SMALL
-        xs = np.where(small, 1.0, x)
-        direct = np.cos(xs) / xs - np.sin(xs) / (xs * xs) + np.sin(xs)
-        x2 = x * x
-        series = 2.0 * x / 3.0 * (1.0 - x2 / 5.0 * (1.0 - 3.0 * x2 / 56.0))
-        return np.where(small, series, direct)
-    zp, zl = _recur_pair(l, x, jhat(0, x), jhat(1, x))
-    return zp - l / x * zl
+        return np.sin(x), np.cos(x)
+    val, der = np.empty_like(x), np.empty_like(x)
+    low = np.abs(x) < l
+    val[low], der[low] = _jhat_series(l, x[low])
+    xu = x[~low]
+    s = np.sin(xu)
+    zp, zl = _recur_pair(l, xu, s, s / xu - np.cos(xu))
+    val[~low], der[~low] = zl, zp - l / xu * zl
+    return val, der
+
+
+def _jhat_series(l: int, x):
+    """(jhat_l(x), jhat_l'(x)) from the ascending series
+
+        jhat_l(x) = x^{l+1} / (2l+1)!! sum_n t_n,
+        t_n = (-x^2/2)^n / (n! (2l+3)(2l+5)...(2l+2n+1)),
+
+    summed until every term is below 1e-17 of its sum. At real x < l
+    the terms' sizes add to about e^{x^2 / (2l + 3)} times the sum, so
+    the series loses at most about l / 2 nats of precision there; against
+    scipy up to l = 14 the value errs by at most 3.2e-14 relative and
+    the derivative by 1.0e-13 (tests/test_radial.py)."""
+    t = np.ones_like(x)
+    total, dtotal = t.copy(), (l + 1) * t
+    q = -0.5 * x * x
+    n = 0
+    while np.any(np.abs(t) > 1e-17 * np.abs(total)):
+        n += 1
+        t = t * q / (n * (2 * l + 2 * n + 1))
+        total += t
+        dtotal += (l + 1 + 2 * n) * t
+    head = x**l / double_factorial_odd(l)
+    return head * x * total, head * dtotal
 
 
 def hhat_plus_d(l: int, x) -> np.ndarray:

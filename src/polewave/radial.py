@@ -136,12 +136,13 @@ def _check_step(mesh: _Mesh, k2: np.ndarray, lo: int, hi: int) -> None:
         raise GridError("a smooth piece spans fewer than 5 nodes; refine the grid")
 
 
-def _w_block(u: np.ndarray, r_sl: np.ndarray, l: int, k2: np.ndarray) -> np.ndarray:
-    """w = U + l(l+1)/r^2 - k^2 on a node slice from U there, shape (nodes, nk)."""
+def _v_column(u: np.ndarray, r_sl: np.ndarray, l: int) -> np.ndarray:
+    """v = U + l(l+1)/r^2 on a node slice from U there; Numerov's w is
+    v - k^2 (_integrate.numerov)."""
     cf = np.zeros_like(r_sl)
     nz = r_sl > 0
     cf[nz] = l * (l + 1) / r_sl[nz] ** 2
-    return (u + cf)[:, None] - k2[None, :]
+    return u + cf
 
 
 def _sided_w(potential: Potential, l: int, r0: float, side: int, k2: np.ndarray):
@@ -237,16 +238,16 @@ def _sweep_regular(mesh: _Mesh, l: int, k, top: int | None = None, norm=None) ->
         if i0 >= top:
             break
         i1 = min(i1, top)
-        w = _w_block(u[: i1 - i0 + 1], r[i0 : i1 + 1], l, k2)
+        v = _v_column(u[: i1 - i0 + 1], r[i0 : i1 + 1], l)
         if i0 == 0:
             for j in range(min(s, 1), s + 2):
                 vals[j] = seed(r[j])
-            ig.numerov(vals[s], vals[s + 1], w[s:], h, out=vals[s : i1 + 1])
+            ig.numerov(vals[s], vals[s + 1], vals[s : i1 + 1], v[s:], k2, h)
         else:
             du = ig.deriv_backward(vals, i0, h)
             w0, w1, w2 = _sided_w(mesh.potential, l, r[i0], +1, k2)
             vals[i0 + 1] = ig.taylor_step(vals[i0], du, h, w0, w1, w2)
-            ig.numerov(vals[i0], vals[i0 + 1], w, h, out=vals[i0 : i1 + 1])
+            ig.numerov(vals[i0], vals[i0 + 1], vals[i0 : i1 + 1], v, k2, h)
     f = 1.0 if norm is None else norm(vals[: top + 1])
     bound = 0.0
     if whole and top < grid.n:
@@ -272,16 +273,31 @@ _FILL_LIMIT = 1e300
 def _fill_node(mesh: _Mesh, l: int, k: np.ndarray) -> int:
     """The first node of the free fill of a whole-grid sweep, or n + 1
     for none. It lies past the Jost window, and where the cancellation of
-    the fill, eps (|k| r)^{-(2l+1)} at the smallest |k|, stays within the
-    march's own rounding i^{3/2} eps over i nodes (the estimate of
-    _rounding): i^{2l + 5/2} >= (|k| h)^{-(2l+1)}. A grid that ends
+    the fill, c_l eps (|k| r)^{-(2l+1)} at the smallest |k|, stays within
+    the march's own rounding i^{3/2} eps over i nodes (the estimate of
+    _rounding): i^{2l + 5/2} >= c_l (|k| h)^{-(2l+1)}. A grid that ends
     inside the range of the potential, and a batch with k = 0, get no
-    fill."""
+    fill.
+
+    c_l = (2l - 1)!!, the size of the fill's highest power of 1 / kr,
+    is measured: against the closed form of square wells of depth 1 to
+    60 (h = 1/256 and 1/128, l = 1 to 3, 19 single momenta in
+    [0.004, 0.5]) the filled wave then errs by at most 1.31 times the
+    error of a march over the whole grid, and with c_l = 1 by up to 2.8
+    times at l = 3 and 1.5 times at l = 2. A later start costs the large
+    momenta of a wide batch, which march further: ((2l - 1)!!)^2 held the
+    single momenta to 1.0 times, but on 300 momenta in [0.05, 4] at
+    l = 3 (square wells of depth 4 to 30) some columns then erred 12
+    times more than with c_l = 1 and the batch's worst column 15 % more;
+    with (2l - 1)!! those read 3.5 times and 6 %. c_0 = c_1 = 1."""
     cutoff, n = mesh.potential.cutoff, mesh.grid.n
     kmin = np.min(np.abs(k), initial=np.inf)
     if (cutoff is not None and cutoff >= mesh.grid.r_max) or kmin == 0:
         return n + 1
-    rounding = (kmin * mesh.grid.h) ** (-(2 * l + 1) / (2 * l + 2.5))
+    c = double_factorial_odd(l - 1)
+    # c apart from the power of |k| h: at c = 1 the node of l <= 1 is
+    # computed as before, bit for bit
+    rounding = c ** (1 / (2 * l + 2.5)) * (kmin * mesh.grid.h) ** (-(2 * l + 1) / (2 * l + 2.5))
     return math.ceil(min(max(mesh.window + 3, rounding), n + 1))
 
 
@@ -546,9 +562,9 @@ def _sweep_jost(mesh: _Mesh, l: int, k, lo: int) -> np.ndarray:
         w0, w1, w2 = _sided_w(mesh.potential, l, r[i1], -1, k2)
         vals[i1 - 1 - lo] = ig.taylor_step(vals[i1 - lo], du, -h, w0, w1, w2)
         i_lo = max(i0, stop)
-        w_rev = _w_block(u[i_lo - i0 : i1 + 1 - i0], r[i_lo : i1 + 1], l, k2)[::-1]
+        v_rev = _v_column(u[i_lo - i0 : i1 + 1 - i0], r[i_lo : i1 + 1], l)[::-1]
         into = vals[i_lo - lo : i1 + 1 - lo][::-1]
-        ig.numerov(vals[i1 - lo], vals[i1 - 1 - lo], w_rev, h, out=into)
+        ig.numerov(vals[i1 - lo], vals[i1 - 1 - lo], into, v_rev, k2, h)
     if l >= 1 and lo == 0:
         vals[0] = 0.0
     if not np.all(np.isfinite(vals)):

@@ -116,8 +116,8 @@ def numerov_steps(monkeypatch):
     original = ig.numerov
 
     def counted(*args, **kwargs):
-        w = args[2]
-        steps.append(w.shape[0] * (w.shape[1] if w.ndim > 1 else 1))
+        out = args[2]
+        steps.append(out.shape[0] * (out.shape[1] if out.ndim > 1 else 1))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(ig, "numerov", counted)

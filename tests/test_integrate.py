@@ -1,12 +1,15 @@
 """Quadrature on uniform nodes against scipy and against exact integrals,
 and the Numerov kernel against its node-by-node recurrence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson as scipy_simpson
 
-from polewave._integrate import _BLOCK, _WIDE, numerov, simpson
+from polewave._integrate import _BLOCK, _CHUNK, _WIDE, numerov, simpson
 from polewave.errors import GridError
+from polewave.radial import _jost, _mesh
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 64, 65, 4000, 4001])
@@ -45,16 +48,27 @@ K_AXES = K_MIXED[:-1]
 
 
 def _sweep_input(n, k, l=0, dtype=complex):
-    """Seeds and w = U + l(l+1)/r^2 - k^2 of a gaussian well on the
-    nodes r = h, 2h, ..., nh, as the radial sweeps build them; float
-    ones for momenta whose k^2 is real."""
+    """Seeds, the node column v = U + l(l+1)/r^2 of a gaussian well on
+    the nodes r = h, 2h, ..., nh, and k^2, as the radial sweeps build
+    them; float ones for momenta whose k^2 is real."""
     k2 = np.atleast_1d(k) ** 2
     k2 = k2.real if dtype is float else k2
     r = H * np.arange(1, n + 1)
-    w = (-4.0 * np.exp(-r * r) + l * (l + 1) / (r * r))[:, None] - k2
+    v = -4.0 * np.exp(-r * r) + l * (l + 1) / (r * r)
     u0 = np.full(k2.shape, r[0] ** (l + 1), dtype=dtype)
     u1 = np.full(k2.shape, r[1] ** (l + 1), dtype=dtype)
-    return u0, u1, w
+    return u0, u1, v, k2
+
+
+def _w(v, k2):
+    """w = v - k^2, nodes x momenta, as numerov builds it."""
+    return v[:, None] - k2
+
+
+def _march(u0, u1, v, k2):
+    """numerov into a new array of the seeds' and w's dtype."""
+    out = np.empty((v.shape[0], k2.size), dtype=np.result_type(u0, u1, v, k2))
+    return numerov(u0, u1, out, v, k2, H)
 
 
 def _row_loop(u0, u1, w, h):
@@ -104,8 +118,8 @@ def _errors(u, ref):
 def test_wide_batches_keep_the_row_loop(nk):
     """Above _WIDE momenta numerov is the row loop, bit for bit."""
     k = np.resize(K_MIXED, nk)
-    u0, u1, w = _sweep_input(400, k)
-    assert np.array_equal(numerov(u0, u1, w.copy(), H), _row_loop(u0, u1, w, H))
+    u0, u1, v, k2 = _sweep_input(400, k)
+    assert np.array_equal(_march(u0, u1, v, k2), _row_loop(u0, u1, _w(v, k2), H))
 
 
 @pytest.mark.parametrize("l", [0, 2])
@@ -120,10 +134,11 @@ def test_blocked_march_rounds_like_the_row_loop(l, batch):
     batches = [K_MIXED[i : i + 1] for i in range(K_MIXED.size)] if batch == "one" else [K_MIXED]
     floor = n * np.finfo(float).eps
     for k in batches:
-        u0, u1, w = _sweep_input(n, k, l)
+        u0, u1, v, k2 = _sweep_input(n, k, l)
+        w = _w(v, k2)
         ref = _long_march(u0, u1, w, H)
         loop = _row_loop(u0, u1, w, H)
-        blocked = numerov(u0, u1, w.copy(), H)
+        blocked = _march(u0, u1, v, k2)
         err_loop = _errors(loop, ref)
         bound = 16.0 * np.maximum(err_loop, floor)
         assert np.all(_errors(blocked, ref) <= bound)
@@ -142,12 +157,14 @@ def test_float_paths_round_within_the_complex_bounds(l, batch):
     batches = [K_AXES[i : i + 1] for i in range(K_AXES.size)] if batch == "one" else [K_AXES]
     floor = n * np.finfo(float).eps
     for k in batches:
-        u0, u1, w = _sweep_input(n, k, l)
+        u0, u1, v, k2 = _sweep_input(n, k, l)
+        w = _w(v, k2)
         err_loop = _errors(_row_loop(u0, u1, w, H), _long_march(u0, u1, w, H))
         bound = 16.0 * np.maximum(err_loop, floor)
-        u0, u1, w = _sweep_input(n, k, l, float)
+        u0, u1, v, k2 = _sweep_input(n, k, l, float)
+        w = _w(v, k2)
         ref = _long_march(u0, u1, w, H)
-        for u in (_row_loop(u0, u1, w, H), numerov(u0, u1, w.copy(), H)):
+        for u in (_row_loop(u0, u1, w, H), _march(u0, u1, v, k2)):
             assert u.dtype == float
             assert np.all(_errors(u, ref) <= bound)
 
@@ -163,10 +180,11 @@ def test_renormalised_form_rounds_no_worse_than_the_plain_form(l, nk, dtype):
     max(plain error, n eps). The largest per-column ratio measured here
     was 9.5 (k = 3i, l = 0), where the plain form errs by 1.3e-12."""
     n = 3000
-    u0, u1, w = _sweep_input(n, np.resize(K_MIXED if dtype is complex else K_AXES, nk), l, dtype)
+    u0, u1, v, k2 = _sweep_input(n, np.resize(K_MIXED if dtype is complex else K_AXES, nk), l, dtype)
+    w = _w(v, k2)
     ref = _long_march(u0, u1, w, H)
     err_plain = _errors(_plain_loop(u0, u1, w, H), ref)
-    err = _errors(numerov(u0, u1, w.copy(), H), ref)
+    err = _errors(_march(u0, u1, v, k2), ref)
     assert np.max(err) <= np.max(err_plain)
     assert np.all(err <= 16.0 * np.maximum(err_plain, n * np.finfo(float).eps))
 
@@ -176,40 +194,42 @@ def test_blocked_sweeps_are_prefixes_of_longer_ones(nk):
     """A sweep cut at any node equals the same nodes of the longer sweep
     bit for bit, from n = 3 through several whole and partial blocks."""
     k = np.resize(K_MIXED, nk)
-    u0, u1, w = _sweep_input(3 * _BLOCK + 5, k)
-    full = numerov(u0, u1, w.copy(), H)
+    u0, u1, v, k2 = _sweep_input(3 * _BLOCK + 5, k)
+    full = _march(u0, u1, v, k2)
     assert np.array_equal(full[0], u0) and np.array_equal(full[1], u1)
-    for n in range(3, w.shape[0]):
-        assert np.array_equal(numerov(u0, u1, w[:n].copy(), H), full[:n]), n
+    for n in range(3, v.shape[0]):
+        assert np.array_equal(_march(u0, u1, v[:n], k2), full[:n]), n
 
 
 @pytest.mark.parametrize("nk", [1, _WIDE, _WIDE + 1])
 def test_float_sweeps_are_prefixes_of_longer_ones(nk):
     """The prefix identity in float arithmetic, on both paths; above
     _WIDE momenta the float sweep is the row loop bit for bit."""
-    u0, u1, w = _sweep_input(3 * _BLOCK + 5, np.resize(K_AXES, nk), dtype=float)
-    full = numerov(u0, u1, w.copy(), H)
+    u0, u1, v, k2 = _sweep_input(3 * _BLOCK + 5, np.resize(K_AXES, nk), dtype=float)
+    full = _march(u0, u1, v, k2)
     assert full.dtype == float
     if nk > _WIDE:
-        assert np.array_equal(full, _row_loop(u0, u1, w, H))
-    for n in range(3, w.shape[0]):
-        assert np.array_equal(numerov(u0, u1, w[:n].copy(), H), full[:n]), n
+        assert np.array_equal(full, _row_loop(u0, u1, _w(v, k2), H))
+    for n in range(3, v.shape[0]):
+        assert np.array_equal(_march(u0, u1, v[:n], k2), full[:n]), n
 
 
 @pytest.mark.parametrize("nk", [1, _WIDE + 1])
 def test_numerov_fills_the_array_it_is_given(nk):
-    """With out, numerov writes the values into out and returns it: the
-    same bits as a new array, also for an inward sweep into a reversed
-    view whose first two rows are the seeds themselves."""
-    u0, u1, w = _sweep_input(200, np.resize(K_AXES, nk), dtype=float)
-    ref = numerov(u0, u1, w.copy(), H)
-    out = np.empty_like(ref)
-    assert numerov(u0, u1, w.copy(), H, out=out) is out
+    """numerov writes the values into out and returns it: the same bits
+    in a fresh array and in one that held other values, also for an
+    inward sweep into a reversed view whose first two rows are the seeds
+    themselves, with v a reversed view as well."""
+    u0, u1, v, k2 = _sweep_input(200, np.resize(K_AXES, nk), dtype=float)
+    ref = _march(u0, u1, v, k2)
+    out = np.full_like(ref, np.nan)
+    assert numerov(u0, u1, out, v, k2, H) is out
     assert np.array_equal(out, ref)
     vals = np.empty_like(ref)
     into = vals[::-1]
     into[0], into[1] = u0, u1
-    numerov(into[0], into[1], w.copy(), H, out=into)
+    v_back = v[::-1].copy()
+    numerov(into[0], into[1], into, v_back[::-1], k2, H)
     assert np.array_equal(vals[::-1], ref)
 
 
@@ -218,12 +238,12 @@ def test_single_real_momentum_is_the_row_loop(n):
     """A float batch of one momentum runs the row loop's recurrence on
     Python floats: bit for bit the row loop, and so the same column of
     any float batch wider than _WIDE."""
-    u0, u1, w = _sweep_input(n, np.resize(K_AXES, _WIDE + 1), dtype=float)
-    wide = numerov(u0, u1, w.copy(), H)
-    assert np.array_equal(wide, _row_loop(u0, u1, w, H))
-    for j in range(w.shape[1]):
+    u0, u1, v, k2 = _sweep_input(n, np.resize(K_AXES, _WIDE + 1), dtype=float)
+    wide = _march(u0, u1, v, k2)
+    assert np.array_equal(wide, _row_loop(u0, u1, _w(v, k2), H))
+    for j in range(k2.size):
         col = slice(j, j + 1)
-        one = numerov(u0[col], u1[col], w[:, col].copy(), H)
+        one = _march(u0[col], u1[col], v, k2[col])
         assert one.dtype == float
         assert np.array_equal(one, wide[:, col]), j
 
@@ -232,11 +252,11 @@ def test_single_complex_momentum_stays_blocked():
     """A complex batch of one momentum is marched in blocks: each column
     of the blocked K_MIXED batch, its real momenta included, equals the
     width-1 sweep of that momentum bit for bit."""
-    u0, u1, w = _sweep_input(1300, K_MIXED)
-    full = numerov(u0, u1, w.copy(), H)
+    u0, u1, v, k2 = _sweep_input(1300, K_MIXED)
+    full = _march(u0, u1, v, k2)
     for j in range(K_MIXED.size):
         col = slice(j, j + 1)
-        assert np.array_equal(numerov(u0[col], u1[col], w[:, col].copy(), H), full[:, col]), j
+        assert np.array_equal(_march(u0[col], u1[col], v, k2[col]), full[:, col]), j
 
 
 @pytest.mark.parametrize(
@@ -248,15 +268,15 @@ def test_seeds_come_back_bit_for_bit(nk, dtype):
     rows are the seeds themselves. At l = 3, g on the first node r = h
     is only h^2 (k^2 - U) / 12."""
     k = np.resize(K_MIXED if dtype is complex else K_AXES, nk)
-    u0, u1, w = _sweep_input(200, k, 3, dtype)
+    u0, u1, v, k2 = _sweep_input(200, k, 3, dtype)
     u0, u1 = u0 / 3.0, u1 / 3.0
-    assert np.all(np.abs(1.0 - (H * H / 12.0) * w[0]) < 1e-3)
-    u = numerov(u0, u1, w.copy(), H)
+    assert np.all(np.abs(1.0 - (H * H / 12.0) * _w(v, k2)[0]) < 1e-3)
+    u = _march(u0, u1, v, k2)
     assert np.array_equal(u[0], u0) and np.array_equal(u[1], u1)
     vals = np.empty_like(u)
     into = vals[::-1]
     into[0], into[1] = u0, u1
-    numerov(into[0], into[1], w.copy(), H, out=into)
+    numerov(into[0], into[1], into, v, k2, H)
     assert np.array_equal(vals[::-1], u)
 
 
@@ -265,13 +285,96 @@ def test_vanishing_g_gives_non_finite_values(nk):
     """Where g = 1 - h^2 w / 12 is exactly 0 at one node, every path
     raises nothing and returns inf or nan from that node on, which the
     sweeps' finiteness check refuses; the float march of one momentum
-    and the wide row loop return the row loop's values."""
-    u0, u1, w = _sweep_input(300, np.resize(K_AXES, nk), dtype=float)
-    w[150] = 12.0 / H**2
+    and the wide chunked march return the row loop's values. g vanishes
+    in every column at once only where every k^2 is the same, so the
+    batch repeats one momentum."""
+    u0, u1, v, k2 = _sweep_input(300, np.full(nk, 0.5), dtype=float)
+    v[150] = 12.0 / H**2 + k2[0]
+    w = _w(v, k2)
     assert np.all(1.0 - (H * H / 12.0) * w[150] == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = numerov(u0, u1, w.copy(), H)
+        u = _march(u0, u1, v, k2)
         ref = _row_loop(u0, u1, w, H)
     if nk == 1 or nk > _WIDE:
         assert np.array_equal(u, ref, equal_nan=True)
     assert np.all(np.isfinite(u[:150])) and not np.any(np.isfinite(u[150:]))
+
+
+#: momenta of the chunked-march tests
+WIDTH = 300
+
+
+def _rows(dtype):
+    """Nodes per chunk of a WIDTH-momentum sweep in dtype."""
+    return _CHUNK // (WIDTH * np.dtype(dtype).itemsize)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize(
+    "chunks, extra", [(0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (2, 2), (0, 400)]
+)
+def test_chunked_march_is_the_row_loop(chunks, extra, dtype):
+    """A batch wider than _WIDE builds w, g and U a chunk of nodes at a
+    time and marches each chunk before the next is built: bit for bit
+    the row loop on the whole w, on sweeps that end inside the first
+    chunk, one to three nodes into the second, one node into the third,
+    and past several, in float and complex."""
+    n = chunks * _rows(dtype) + extra
+    k = np.resize(K_MIXED if dtype is complex else K_AXES, WIDTH)
+    u0, u1, v, k2 = _sweep_input(n, k, 2, dtype)
+    u = _march(u0, u1, v, k2)
+    assert u.dtype == dtype
+    assert np.array_equal(u, _row_loop(u0, u1, _w(v, k2), H))
+
+
+def test_chunks_hold_at_least_two_nodes():
+    """A batch so wide that _CHUNK bytes hold less than one row of it is
+    marched two nodes per chunk: the first chunk holds both seeds."""
+    k2 = np.linspace(0.01, 16.0, _CHUNK // 16 + 1)
+    u0, u1, v, k2 = _sweep_input(7, np.sqrt(k2), dtype=float)
+    assert np.array_equal(_march(u0, u1, v, k2), _row_loop(u0, u1, _w(v, k2), H))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_chunked_inward_sweep_fills_a_reversed_view(dtype):
+    """An inward sweep as radial._sweep_jost runs it: v a reversed view,
+    and out a reversed view of the values whose rows 0 and 1 hold the
+    seeds themselves. The values are the row loop on the reversed w, and
+    the seeds come back bit for bit."""
+    k = np.resize(K_MIXED if dtype is complex else K_AXES, WIDTH)
+    u0, u1, v, k2 = _sweep_input(2 * _rows(dtype) + 7, k, 1, dtype)
+    vals = np.empty((v.size, k2.size), dtype=dtype)
+    into = vals[::-1]
+    into[0], into[1] = u0 / 3.0, u1 / 3.0
+    seeds = into[:2].copy()
+    assert numerov(into[0], into[1], into, v[::-1], k2, H) is into
+    assert np.array_equal(into[:2], seeds)
+    assert np.array_equal(into, _row_loop(seeds[0], seeds[1], _w(v[::-1], k2), H))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_chunked_sweeps_are_prefixes_of_longer_ones(dtype):
+    """A wide sweep cut at any node equals the same nodes of the longer
+    sweep bit for bit, across three chunk boundaries."""
+    k = np.resize(K_MIXED if dtype is complex else K_AXES, WIDTH)
+    u0, u1, v, k2 = _sweep_input(3 * _rows(dtype) + 5, k, 0, dtype)
+    full = _march(u0, u1, v, k2)
+    for n in range(3, v.size):
+        assert np.array_equal(_march(u0, u1, v[:n], k2), full[:n]), n
+
+
+def test_wide_jost_sweep_holds_no_whole_array_temporary(exp905):
+    """A 300-momentum Jost sweep of exp905 (4030 nodes) allocates little
+    beyond its values: w, g and U live in chunk buffers. Its peak read
+    1.14 x the values with chunks, 3.0 x with whole-array w and g."""
+    pot, grid = exp905
+    mesh = _mesh(pot, grid)
+    k = np.linspace(0.05, 4.0, 300)
+    tracemalloc.start()
+    try:
+        phi, _ = _jost(mesh, 0, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert phi.shape == (mesh.window + 3, k.size)
+    assert peak < 1.25 * phi.nbytes

@@ -220,12 +220,36 @@ def numerov_widths(monkeypatch):
     widths = []
     original = ig.numerov
 
-    def spy(u0, u1, w, h, out=None):
-        widths.append(w.shape[1])
-        return original(u0, u1, w, h, out=out)
+    def spy(u0, u1, out, v, k2, h):
+        widths.append(out.shape[1])
+        return original(u0, u1, out, v, k2, h)
 
     monkeypatch.setattr(ig, "numerov", spy)
     return widths
+
+
+def test_numerov_takes_the_values_array_third(exp905, monkeypatch):
+    """The kernel's third positional argument is the nodes x momenta
+    array it fills, and the call returns it: perfbench's numerov.*
+    counters and the numerov_steps fixture read the node x momentum
+    steps off args[2]. A wide Jost sweep of exp905 (one smooth piece)
+    marches once, from node 1 to the top of the Jost window."""
+    pot, grid = exp905
+    k = np.linspace(0.05, 4.0, 300)
+    calls = []
+    original = ig.numerov
+
+    def spy(*args):
+        result = original(*args)
+        calls.append((args[2], result))
+        return result
+
+    monkeypatch.setattr(ig, "numerov", spy)
+    jost_function(pot, 0, k, grid)
+    nodes = _mesh(pot, grid).window + 2
+    assert [a.shape for a, _ in calls] == [(nodes, k.size)]
+    assert all(a is result for a, result in calls)
+    assert sum(a.shape[0] * a.shape[1] for a, _ in calls) == nodes * k.size
 
 
 @pytest.mark.parametrize("well", ["sq41", "deep30", "gauss41", "exp905", "square (20000, 1)"])
